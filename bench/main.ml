@@ -1240,11 +1240,7 @@ let bench_json path =
   in
   Metrics.set_enabled false;
   Metrics.reset ();
-  (* sequential vs. parallel exploration throughput.  The parallel graph
-     must be identical to the sequential one — a divergence is a
-     correctness failure of explore_par, not a perf regression, and fails
-     the harness. *)
-  let jobs = 4 in
+  (* exploration throughput and its run-to-run spread *)
   let explorations =
     [ ("pairs-4", fun () -> V.pairs 4);
       ("grid", fun () -> Fsa_grid.Grid_apa.demand_response ()) ]
@@ -1254,18 +1250,9 @@ let bench_json path =
       (fun (name, mk) ->
         let apa = mk () in
         let t0 = Fsa_obs.Span.now_ns () in
-        let seq = Lts.explore apa in
+        let lts = Lts.explore apa in
         let seq_ns = Int64.sub (Fsa_obs.Span.now_ns ()) t0 in
-        let t0 = Fsa_obs.Span.now_ns () in
-        let par = Lts.explore_par ~jobs apa in
-        let par_ns = Int64.sub (Fsa_obs.Span.now_ns ()) t0 in
-        let equal =
-          Lts.nb_states seq = Lts.nb_states par
-          && Lts.transitions seq = Lts.transitions par
-        in
-        if not equal then incr failures;
-        (* run-to-run spread of the sequential exploration, as
-           interpolated quantiles over a small sample.  The timed runs
+        (* quantiles interpolated over a small sample.  The timed runs
            themselves stay unmetered: recording is switched on only for
            the observation itself. *)
         let h =
@@ -1285,28 +1272,17 @@ let bench_json path =
         done;
         let p50 = Metrics.quantile h 0.5 in
         let p99 = Metrics.quantile h 0.99 in
-        let rate ns =
-          let s = Int64.to_float ns /. 1e9 in
-          if s > 0. then float_of_int (Lts.nb_states seq) /. s else 0.
+        let rate =
+          let s = Int64.to_float seq_ns /. 1e9 in
+          if s > 0. then float_of_int (Lts.nb_states lts) /. s else 0.
         in
-        let speedup =
-          if Int64.compare par_ns 0L > 0 then
-            Int64.to_float seq_ns /. Int64.to_float par_ns
-          else 0.
-        in
-        Fmt.pr
-          "  %-24s seq %a  par(%d) %a  speedup %.2fx  p50 %.1f ms  \
-           p99 %.1f ms  identical: %s@."
-          name Fsa_obs.Span.pp_dur seq_ns jobs Fsa_obs.Span.pp_dur par_ns
-          speedup p50 p99
-          (if equal then "OK" else "MISMATCH");
+        Fmt.pr "  %-24s %a  %.0f states/s  p50 %.1f ms  p99 %.1f ms@." name
+          Fsa_obs.Span.pp_dur seq_ns rate p50 p99;
         Printf.sprintf
-          "    \"%s\": {\"seq_wall_ns\": %Ld, \"par_wall_ns\": %Ld, \
-           \"states\": %d, \"seq_states_per_sec\": %.1f, \
-           \"par_states_per_sec\": %.1f, \"speedup\": %.3f, \
-           \"seq_p50_ms\": %.3f, \"seq_p99_ms\": %.3f, \"par_equal\": %b}"
-          name seq_ns par_ns (Lts.nb_states seq) (rate seq_ns) (rate par_ns)
-          speedup p50 p99 equal)
+          "    \"%s\": {\"seq_wall_ns\": %Ld, \"states\": %d, \
+           \"seq_states_per_sec\": %.1f, \"seq_p50_ms\": %.3f, \
+           \"seq_p99_ms\": %.3f}"
+          name seq_ns (Lts.nb_states lts) rate p50 p99)
       explorations
   in
   let struct_rows = bench_struct () in
@@ -1326,8 +1302,7 @@ let bench_json path =
       output_string oc "\n  },\n  \"kernels\": {\n";
       output_string oc (String.concat ",\n" rows);
       output_string oc "\n  },\n";
-      output_string oc
-        (Printf.sprintf "  \"exploration\": {\n    \"jobs\": %d,\n" jobs);
+      output_string oc "  \"exploration\": {\n";
       output_string oc (String.concat ",\n" exploration_rows);
       output_string oc "\n  },\n  \"struct\": {\n";
       output_string oc (String.concat ",\n" struct_rows);

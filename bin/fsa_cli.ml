@@ -38,17 +38,6 @@ let spec_arg =
   let doc = "Specification file (.fsa)." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"SPEC" ~doc)
 
-let jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Explore the state space with $(docv) parallel domains; the \
-                 resulting graph (state numbering included) is identical to \
-                 the sequential exploration.")
-
-let explore ~max_states ?progress ~jobs apa =
-  if jobs > 1 then Lts.explore_par ~max_states ?progress ~jobs apa
-  else Lts.explore ~max_states ?progress apa
-
 (* Exit codes: 0 clean, 1 analysis failure / findings, 2 the input does
    not even parse or elaborate. *)
 let parse_exit = 2
@@ -251,10 +240,10 @@ let open_store ~cache ~no_cache ~cache_dir =
 (* Run one analysis through the shared executor (cache-aware when the
    config carries a store), mapping analysis-level failures to the CLI's
    exit-code conventions. *)
-let exec_or_die cfg ~op ?meth ?max_states ?jobs ?prune ?flow ?sos ?keep
+let exec_or_die cfg ~op ?meth ?max_states ?prune ?flow ?sos ?keep
     ?reduce ?shared ?progress ~file spec =
   match
-    Server.Exec.run cfg ~op ?meth ?max_states ?jobs ?prune ?flow ?sos ?keep
+    Server.Exec.run cfg ~op ?meth ?max_states ?prune ?flow ?sos ?keep
       ?reduce ?shared ?progress ~file spec
   with
   | outcome -> outcome
@@ -268,10 +257,10 @@ let exec_or_die cfg ~op ?meth ?max_states ?jobs ?prune ?flow ?sos ?keep
 
 (* As above, and print the human report; on a hit the marker goes to
    stderr so stdout stays byte-identical to a fresh run. *)
-let run_exec cfg ~op ?meth ?max_states ?jobs ?prune ?flow ?sos ?keep ?reduce
+let run_exec cfg ~op ?meth ?max_states ?prune ?flow ?sos ?keep ?reduce
     ?shared ?progress ~file spec =
   let outcome =
-    exec_or_die cfg ~op ?meth ?max_states ?jobs ?prune ?flow ?sos ?keep
+    exec_or_die cfg ~op ?meth ?max_states ?prune ?flow ?sos ?keep
       ?reduce ?shared ?progress ~file spec
   in
   if outcome.Server.Exec.oc_cached then Fmt.epr "(cached)@.";
@@ -283,7 +272,7 @@ let run_exec cfg ~op ?meth ?max_states ?jobs ?prune ?flow ?sos ?keep ?reduce
 (* --------------------------------------------------------------- *)
 
 let reach_cmd =
-  let run verbose spec_path max_states jobs flow reduce dot_out cache
+  let run verbose spec_path max_states flow reduce dot_out cache
       no_cache cache_dir metrics_out trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
@@ -295,13 +284,13 @@ let reach_cmd =
       let progress = explore_progress spec_path in
       let lts =
         match reduce with
-        | None -> explore ~max_states ~progress ~jobs apa
+        | None -> Lts.explore ~max_states ~progress apa
         | Some kind ->
           let sigs = Fsa_spec.Elaborate.guard_signatures spec in
           let pl =
             Sym.plan ~guard_sig:(fun r -> List.assoc_opt r sigs) kind apa
           in
-          Analysis.quotient ~max_states ~jobs ~progress pl apa
+          Analysis.quotient ~max_states ~progress pl apa
       in
       Fmt.pr "%a@." Lts.pp_stats (Lts.stats lts);
       Fmt.pr "%a@." Lts.pp_min_max lts;
@@ -315,7 +304,7 @@ let reach_cmd =
       (* reach has no dependence matrix, so --prune-flow cannot change
          anything; accepted for symmetry with requirements *)
       ignore
-        (run_exec cfg ~op:Server.Exec.Reach ~max_states ~jobs ~flow ?reduce
+        (run_exec cfg ~op:Server.Exec.Reach ~max_states ~flow ?reduce
            ~progress ~file:spec_path spec)
   in
   let max_states =
@@ -327,7 +316,7 @@ let reach_cmd =
   in
   Cmd.v
     (Cmd.info "reach" ~doc:"Compute the reachability graph of a specification's APA model.")
-    Term.(const run $ verbose_arg $ spec_arg $ max_states $ jobs_arg
+    Term.(const run $ verbose_arg $ spec_arg $ max_states
           $ flow_arg $ reduce_arg $ dot_out $ cache_arg $ no_cache_arg
           $ cache_dir_arg $ metrics_out_arg $ trace_out_arg)
 
@@ -354,7 +343,7 @@ let out_json_arg =
                  temp+rename write); the human report still goes to stdout.")
 
 let requirements_cmd =
-  let run verbose spec_path meth max_states jobs prune flow reduce shared
+  let run verbose spec_path meth max_states prune flow reduce shared
       out cache no_cache cache_dir metrics_out trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
@@ -365,7 +354,7 @@ let requirements_cmd =
     in
     let progress = explore_progress spec_path in
     let outcome =
-      run_exec cfg ~op:Server.Exec.Requirements ~meth ~max_states ~jobs
+      run_exec cfg ~op:Server.Exec.Requirements ~meth ~max_states
         ~prune ~flow ?reduce ~shared ~progress ~file:spec_path spec
     in
     Option.iter
@@ -384,7 +373,7 @@ let requirements_cmd =
   Cmd.v
     (Cmd.info "requirements"
        ~doc:"Derive authenticity requirements from a specification's APA model (tool path).")
-    Term.(const run $ verbose_arg $ spec_arg $ meth $ max_states $ jobs_arg
+    Term.(const run $ verbose_arg $ spec_arg $ meth $ max_states
           $ prune_arg $ flow_arg $ reduce_arg $ shared_arg $ out_json_arg
           $ cache_arg $ no_cache_arg $ cache_dir_arg $ metrics_out_arg
           $ trace_out_arg)
@@ -429,7 +418,7 @@ let analyze_cmd =
 (* --------------------------------------------------------------- *)
 
 let abstract_cmd =
-  let run verbose spec_path keep rename jobs dot_out out cache no_cache
+  let run verbose spec_path keep rename dot_out out cache no_cache
       cache_dir =
     setup_logs verbose;
     let spec = load_spec spec_path in
@@ -471,7 +460,7 @@ let abstract_cmd =
     | Some _, _ | None, _ :: _ ->
       (* DOT export needs the automaton itself and the cached executor
          knows nothing of renamings: bypass the cache *)
-      let lts = explore ~max_states:1_000_000 ~jobs apa in
+      let lts = Lts.explore ~max_states:1_000_000 apa in
       let actions = List.map Action.make keep in
       let h =
         match rename_pairs with
@@ -505,7 +494,7 @@ let abstract_cmd =
       let store = open_store ~cache ~no_cache ~cache_dir in
       let cfg = Server.config ?store () in
       let outcome =
-        run_exec cfg ~op:Server.Exec.Abstract ~keep ~jobs ~file:spec_path
+        run_exec cfg ~op:Server.Exec.Abstract ~keep ~file:spec_path
           spec
       in
       Option.iter
@@ -534,7 +523,7 @@ let abstract_cmd =
   Cmd.v
     (Cmd.info "abstract"
        ~doc:"Compute the minimal automaton of a homomorphic image (Sect. 5.5).")
-    Term.(const run $ verbose_arg $ spec_arg $ keep $ rename $ jobs_arg
+    Term.(const run $ verbose_arg $ spec_arg $ keep $ rename
           $ dot_out $ out_json_arg $ cache_arg $ no_cache_arg $ cache_dir_arg)
 
 (* --------------------------------------------------------------- *)
@@ -1076,7 +1065,7 @@ let flow_cmd =
 (* --------------------------------------------------------------- *)
 
 let verify_cmd =
-  let run verbose spec_path jobs flow reduce cache no_cache cache_dir =
+  let run verbose spec_path flow reduce cache no_cache cache_dir =
     setup_logs verbose;
     let spec = load_spec spec_path in
     let store = open_store ~cache ~no_cache ~cache_dir in
@@ -1084,7 +1073,7 @@ let verify_cmd =
     (* verify has no dependence matrix either; the flag is accepted for
        symmetry with requirements *)
     let outcome =
-      run_exec cfg ~op:Server.Exec.Verify ~jobs ~flow ?reduce
+      run_exec cfg ~op:Server.Exec.Verify ~flow ?reduce
         ~file:spec_path spec
     in
     if outcome.Server.Exec.oc_exit <> 0 then begin
@@ -1100,7 +1089,7 @@ let verify_cmd =
        ~doc:"Evaluate a specification's check declarations against its \
              behaviour (explores the state space; see $(b,check) for the \
              static analysis).")
-    Term.(const run $ verbose_arg $ spec_arg $ jobs_arg $ flow_arg
+    Term.(const run $ verbose_arg $ spec_arg $ flow_arg
           $ reduce_arg $ cache_arg $ no_cache_arg $ cache_dir_arg)
 
 (* --------------------------------------------------------------- *)
@@ -1157,7 +1146,7 @@ let monitor_cmd =
 (* --------------------------------------------------------------- *)
 
 let report_cmd =
-  let run verbose spec_path format sos_name out meth max_states jobs prune
+  let run verbose spec_path format sos_name out meth max_states prune
       flow reduce shared cache no_cache cache_dir metrics_out trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
@@ -1168,7 +1157,7 @@ let report_cmd =
     in
     let progress = explore_progress spec_path in
     let outcome =
-      exec_or_die cfg ~op:Server.Exec.Report ~meth ~max_states ~jobs ~prune
+      exec_or_die cfg ~op:Server.Exec.Report ~meth ~max_states ~prune
         ~flow ?sos:sos_name ?reduce ~shared ~progress ~file:spec_path spec
     in
     if outcome.Server.Exec.oc_cached then Fmt.epr "(cached)@.";
@@ -1211,7 +1200,7 @@ let report_cmd =
              provenance, traceability matrix, coverage and verification \
              tags (deterministic Markdown or JSON).")
     Term.(const run $ verbose_arg $ spec_arg $ format $ sos_name $ out
-          $ meth $ max_states $ jobs_arg $ prune_arg $ flow_arg
+          $ meth $ max_states $ prune_arg $ flow_arg
           $ reduce_arg $ shared_arg $ cache_arg $ no_cache_arg
           $ cache_dir_arg $ metrics_out_arg $ trace_out_arg)
 
@@ -1401,6 +1390,12 @@ let batch_cmd =
              ~doc:"Analysis to run over each file: reach, requirements, \
                    analyze, abstract, verify or check.")
   in
+  let jobs =
+    Arg.(value & opt int 1
+         & info [ "jobs"; "j" ] ~docv:"N"
+             ~doc:"Analyse up to $(docv) files at once, each in a domain of \
+                   its own; each file's analysis itself runs sequentially.")
+  in
   let max_states =
     Arg.(value & opt int 1_000_000
          & info [ "max-states" ] ~doc:"Per-file state bound.")
@@ -1419,7 +1414,7 @@ let batch_cmd =
        ~doc:"Run one analysis over many specification files in parallel, \
              cache-aware; prints one JSON result line per file, in input \
              order.")
-    Term.(const run $ verbose_arg $ op_name $ jobs_arg $ max_states
+    Term.(const run $ verbose_arg $ op_name $ jobs $ max_states
           $ timeout_ms $ prune_arg $ no_cache_arg $ cache_dir_arg
           $ metrics_out_arg $ trace_out_arg $ specs_arg)
 

@@ -32,83 +32,257 @@ let m_terms = Metrics.counter "apa.terms_allocated"
 (* ------------------------------------------------------------------ *)
 
 module State = struct
-  (* A global state maps each state component name to its current set of
-     data terms.  The map always contains every declared component.
+  (* A global state is an array of component contents, indexed by the
+     slots of a layout: the APA's component order.  Every state of one
+     exploration shares the APA's layout, so lookups are array accesses
+     and a successor shares every component array its firing left
+     untouched with its parent.
 
-     The structural hash is memoized: state-space exploration hashes every
-     state once per table lookup, and recomputing the fold over all
-     components dominated the sequential profile.  [-1] marks "not yet
-     computed"; the cached value is deterministic, so the benign race of
-     two domains filling the cache concurrently writes the same word. *)
-  type t = { m : Term.Set.t Smap.t; mutable h : int }
+     Invariants:
+     - each slot holds its contents as a strictly increasing array of
+       terms in [Term.compare] order, so bindings enumerate in the order
+       a [Term.Set.fold] would;
+     - [h] is the wrapping sum, over slots [i] and elements [e], of
+       [zobrist salts.(i) e].  The salt depends only on the component
+       name, so two states hold equal hashes whenever they map every name
+       to the same set, whatever their layouts; a missing component and
+       an empty one are the same.  A firing updates [h] by the elements
+       it removes and adds, without rehashing the state;
+     - layouts are immutable once built, so states can cross domains
+       (server workers, [batch] jobs) without a shared mutable table. *)
+  type layout = {
+    names : string array;  (* slot -> component name *)
+    salts : int array;  (* slot -> mixed hash of the name *)
+    by_name : int array;  (* slots in [String.compare] order of names *)
+    index : int Smap.t;  (* component name -> slot *)
+  }
 
-  let of_map m = { m; h = -1 }
-  let empty = of_map Smap.empty
+  type t = { layout : layout; slots : Term.t array array; h : int }
 
-  let get name s =
-    match Smap.find_opt name s.m with Some set -> set | None -> Term.Set.empty
+  (* A 63-bit finaliser in the style of splitmix64.  Term hashes are
+     small and structured ([Int i] hashes to [0x9e5 * (i + 1)]), so sums
+     of unmixed ones collide and crowd the low bits a hash table uses. *)
+  let mix x =
+    let x = (x lxor (x lsr 31)) * 0x3f58476d1ce4e5b9 in
+    let x = (x lxor (x lsr 27)) * 0x14d049bb133111eb in
+    x lxor (x lsr 30)
 
-  let set name v s = of_map (Smap.add name v s.m)
+  let salt name = mix (Hashtbl.hash name)
+  let zobrist salt e = mix (salt lxor Term.hash e)
 
-  let add_elt name e s = set name (Term.Set.add e (get name s)) s
-  let remove_elt name e s = set name (Term.Set.remove e (get name s)) s
-  let mem_elt name e s = Term.Set.mem e (get name s)
+  let layout names =
+    let names =
+      List.fold_left
+        (fun acc n -> if List.mem n acc then acc else n :: acc)
+        [] names
+      |> List.rev |> Array.of_list
+    in
+    let by_name = Array.init (Array.length names) Fun.id in
+    Array.sort (fun i j -> String.compare names.(i) names.(j)) by_name;
+    { names;
+      salts = Array.map salt names;
+      by_name;
+      index =
+        Array.to_seqi names
+        |> Seq.fold_left (fun m (i, n) -> Smap.add n i m) Smap.empty }
 
-  let compare a b =
-    if a == b then 0 else Smap.compare Term.Set.compare a.m b.m
+  let slot_hash salt arr =
+    Array.fold_left (fun acc e -> acc + zobrist salt e) 0 arr
 
-  (* Hash consistent with [equal]: folded over components and elements. *)
-  let structural_hash m =
-    Smap.fold
-      (fun name set acc ->
-        let h =
-          Term.Set.fold (fun t acc -> acc + Term.hash t) set
-            (Hashtbl.hash name)
-        in
-        ((acc * 31) + h) land max_int)
-      m 17
+  let make layout slots =
+    let h = ref 0 in
+    Array.iteri (fun i arr -> h := !h + slot_hash layout.salts.(i) arr) slots;
+    { layout; slots; h = !h }
 
-  let hash s =
-    if s.h >= 0 then s.h
+  let empty = make (layout []) [||]
+
+  let sorted_of_set set = Array.of_list (Term.Set.elements set)
+
+  let set_of_sorted arr =
+    Array.fold_left (fun acc e -> Term.Set.add e acc) Term.Set.empty arr
+
+  (* [elements name s]: the sorted contents, [[||]] when absent. *)
+  let elements name s =
+    match Smap.find_opt name s.layout.index with
+    | Some i -> s.slots.(i)
+    | None -> [||]
+
+  let get name s = set_of_sorted (elements name s)
+
+  (* Replace the contents of one component, extending the layout when the
+     component is new to it. *)
+  let set_sorted name arr s =
+    match Smap.find_opt name s.layout.index with
+    | Some i ->
+      let slots = Array.copy s.slots in
+      slots.(i) <- arr;
+      { s with
+        slots;
+        h = s.h - slot_hash s.layout.salts.(i) s.slots.(i)
+            + slot_hash s.layout.salts.(i) arr }
+    | None ->
+      let layout = layout (Array.to_list s.layout.names @ [ name ]) in
+      { layout;
+        slots = Array.append s.slots [| arr |];
+        h = s.h + slot_hash layout.salts.(Array.length s.slots) arr }
+
+  let set name v s = set_sorted name (sorted_of_set v) s
+
+  (* Binary search for [e] in a sorted slot: its index, or [-(i + 1)]
+     when absent and [i] is the insertion point. *)
+  let find arr e =
+    let rec go lo hi =
+      if lo >= hi then -(lo + 1)
+      else
+        let mid = (lo + hi) lsr 1 in
+        let c = Term.compare e arr.(mid) in
+        if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
+    in
+    go 0 (Array.length arr)
+
+  let insert arr e =
+    let k = find arr e in
+    if k >= 0 then arr
     else begin
-      let h = structural_hash s.m in
-      s.h <- h;
-      h
+      let i = -(k + 1) in
+      let n = Array.length arr in
+      let res = Array.make (n + 1) e in
+      Array.blit arr 0 res 0 i;
+      Array.blit arr i res (i + 1) (n - i);
+      res
     end
+
+  let remove arr e =
+    let i = find arr e in
+    if i < 0 then arr
+    else begin
+      let n = Array.length arr in
+      let res = Array.sub arr 0 (n - 1) in
+      Array.blit arr (i + 1) res i (n - 1 - i);
+      res
+    end
+
+  let add_elt name e s = set_sorted name (insert (elements name s) e) s
+  let remove_elt name e s = set_sorted name (remove (elements name s) e) s
+  let mem_elt name e s = find (elements name s) e >= 0
+
+  (* Lexicographic over sorted arrays: [Term.Set.compare] on the sets. *)
+  let compare_sorted a b =
+    if a == b then 0
+    else
+      let la = Array.length a and lb = Array.length b in
+      let rec go i =
+        if i = la then if i = lb then 0 else -1
+        else if i = lb then 1
+        else
+          let c = Term.compare a.(i) b.(i) in
+          if c <> 0 then c else go (i + 1)
+      in
+      go 0
+
+  (* Name-ordered contents, for comparisons across layouts. *)
+  let bindings s =
+    Array.to_list
+      (Array.map (fun i -> (s.layout.names.(i), s.slots.(i))) s.layout.by_name)
+
+  (* The order of [Smap.compare Term.Set.compare] on name-to-set maps in
+     which every name not shown maps to the empty set. *)
+  let compare a b =
+    if a == b then 0
+    else if a.layout == b.layout then begin
+      let order = a.layout.by_name in
+      let n = Array.length order in
+      let rec go k =
+        if k = n then 0
+        else
+          let i = order.(k) in
+          let c = compare_sorted a.slots.(i) b.slots.(i) in
+          if c <> 0 then c else go (k + 1)
+      in
+      go 0
+    end
+    else
+      let names =
+        List.sort_uniq String.compare
+          (Array.to_list a.layout.names @ Array.to_list b.layout.names)
+      in
+      let rec go = function
+        | [] -> 0
+        | name :: rest ->
+          let c = compare_sorted (elements name a) (elements name b) in
+          if c <> 0 then c else go rest
+      in
+      go names
+
+  let equal_sorted a b =
+    a == b
+    || Array.length a = Array.length b
+       && begin
+         let rec go i = i < 0 || (Term.equal a.(i) b.(i) && go (i - 1)) in
+         go (Array.length a - 1)
+       end
 
   let equal a b =
     a == b
-    || ((a.h < 0 || b.h < 0 || a.h = b.h) && compare a b = 0)
+    || a.h = b.h
+       &&
+       if a.layout == b.layout then begin
+         let n = Array.length a.slots in
+         let rec go i =
+           i = n
+           || (let x = a.slots.(i) and y = b.slots.(i) in
+               x == y || equal_sorted x y)
+              && go (i + 1)
+         in
+         go 0
+       end
+       else compare a b = 0
 
-  let components s = List.map fst (Smap.bindings s.m)
+  let hash s = s.h land max_int
+
+  let components s = List.map fst (bindings s)
 
   (* Rename component keys and rewrite the stored terms in one pass —
-     the workhorse of symmetry canonicalisation ([Fsa_sym]).  The result
-     is a fresh state with an unset hash cache.  [comp] must be
-     injective on the keys of the state; colliding keys would silently
-     drop a component, so we union defensively. *)
+     the workhorse of symmetry canonicalisation ([Fsa_sym]).  A renaming
+     that permutes the layout's components keeps the layout; [comp] must
+     be injective on the components of [s], but colliding keys are
+     unioned defensively rather than dropped. *)
   let map ~comp ~term s =
-    let m =
-      Smap.fold
-        (fun name set acc ->
-          let set = Term.Set.map term set in
-          let name = comp name in
-          match Smap.find_opt name acc with
-          | None -> Smap.add name set acc
-          | Some prev -> Smap.add name (Term.Set.union prev set) acc)
-        s.m Smap.empty
+    let mapped =
+      Array.mapi
+        (fun i arr ->
+          ( comp s.layout.names.(i),
+            Array.to_list arr |> List.map term |> List.sort_uniq Term.compare ))
+        s.slots
     in
-    of_map m
+    let union arr elts =
+      if Array.length arr = 0 then Array.of_list elts
+      else List.fold_left insert arr elts
+    in
+    if Array.for_all (fun (name, _) -> Smap.mem name s.layout.index) mapped
+    then begin
+      let slots = Array.make (Array.length mapped) [||] in
+      Array.iter
+        (fun (name, elts) ->
+          let j = Smap.find name s.layout.index in
+          slots.(j) <- union slots.(j) elts)
+        mapped;
+      make s.layout slots
+    end
+    else
+      Array.fold_left
+        (fun acc (name, elts) -> set_sorted name (union (elements name acc) elts) acc)
+        empty mapped
 
   let pp ppf s =
-    let pp_comp ppf (name, set) =
+    let pp_comp ppf (name, arr) =
       Fmt.pf ppf "%s = {%a}" name
-        Fmt.(list ~sep:comma Term.pp)
-        (Term.Set.elements set)
+        Fmt.(array ~sep:comma Term.pp)
+        arr
     in
-    Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_comp) (Smap.bindings s.m)
+    Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_comp) (bindings s)
 
-    let to_string s = Fmt.str "%a" pp s
+  let to_string s = Fmt.str "%a" pp s
 end
 
 (* ------------------------------------------------------------------ *)
@@ -143,7 +317,11 @@ let put component template = { p_component = component; p_template = template }
 let rule ?guard ?label ~takes ~puts name =
   let r_guard = match guard with Some g -> g | None -> fun _ -> true in
   let r_label =
-    match label with Some l -> l | None -> fun _ -> Action.make name
+    match label with
+    | Some l -> l
+    | None ->
+      let a = Action.make name in
+      fun _ -> a
   in
   { r_name = name; r_takes = takes; r_guard;
     r_trivial_guard = Option.is_none guard; r_puts = puts;
@@ -162,10 +340,50 @@ let neighbourhood r =
 (* APA                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* A rule compiled against the APA's layout: component names resolved
+   to slots, ground patterns and templates interned, and the Zobrist
+   terms of ground elements precomputed.  Compiled rules are immutable,
+   so one APA can be explored from several domains at once. *)
+type ctake = {
+  k_slot : int;
+  k_pattern : Term.t;
+  k_ground : bool;
+  k_consume : bool;
+  k_zobrist : int;  (* of the pattern in its slot; ground takes only *)
+  k_distinct : int list;
+      (* earlier consuming takes of the same slot, for a consuming take:
+         each must have matched a different element *)
+}
+
+type cput = {
+  q_slot : int;
+  q_template : Term.t;
+  q_ground : bool;
+  q_zobrist : int;  (* ground templates only *)
+  q_single : Term.t array;
+      (* [[| q_template |]], shared by every ground put of this term into
+         this slot and by equal initial contents; [[||]] when non-ground *)
+}
+
+type crule = {
+  c_rule : rule;
+  c_takes : ctake array;
+  c_puts : cput array;
+  c_read_slots : int array;  (* distinct slots of the takes *)
+  c_write_slots : int array;  (* distinct slots a firing may change *)
+  c_ground : bool;  (* every take pattern is ground *)
+  c_never : bool;
+      (* two consuming takes of one slot share a ground pattern: they can
+         never match distinct elements *)
+}
+
 type t = {
   name : string;
   components : (string * Term.Set.t) list;  (* declared, with initial sets *)
   rules : rule list;
+  layout : State.layout;
+  initial : State.t;
+  compiled : crule array;
 }
 
 type error =
@@ -185,17 +403,17 @@ let pp_error ppf = function
   | Duplicate_rule r -> Fmt.pf ppf "rule %s is declared twice" r
   | Duplicate_component c -> Fmt.pf ppf "state component %s is declared twice" c
 
-let validate t =
+let validate_parts ~components ~rules =
   let errors = ref [] in
   let err e = errors := e :: !errors in
-  let declared c = List.mem_assoc c t.components in
+  let declared c = List.mem_assoc c components in
   let rec dup_comp = function
     | [] -> ()
     | (c, _) :: rest ->
       if List.mem_assoc c rest then err (Duplicate_component c);
       dup_comp rest
   in
-  dup_comp t.components;
+  dup_comp components;
   let rec dup_rule = function
     | [] -> ()
     | r :: rest ->
@@ -203,13 +421,13 @@ let validate t =
         err (Duplicate_rule r.r_name);
       dup_rule rest
   in
-  dup_rule t.rules;
+  dup_rule rules;
   List.iter
     (fun (c, init) ->
       Term.Set.iter
         (fun e -> if not (Term.is_ground e) then err (Nonground_initial (c, e)))
         init)
-    t.components;
+    components;
   List.iter
     (fun r ->
       List.iter
@@ -237,17 +455,120 @@ let validate t =
                 err (Unbound_put_variable (r.r_name, v)))
             (Term.vars p.p_template))
         r.r_puts)
-    t.rules;
+    rules;
   match List.rev !errors with [] -> Ok () | es -> Error es
 
+let validate t = validate_parts ~components:t.components ~rules:t.rules
+
+let distinct_slots slots =
+  List.sort_uniq Int.compare slots |> Array.of_list
+
+(* Compile the rules once per APA, against the layout of its declared
+   components.  Callers pass validated parts: [make] validates, and
+   [prefix] and [with_initial] rename or refill a valid APA. *)
+let build ~components ~rules name =
+  let layout = State.layout (List.map fst components) in
+  let slot c = Smap.find c layout.State.index in
+  (* one physically shared array per (slot, ground term) that may fill
+     an empty slot alone, so that equal states mostly share their slot
+     arrays and compare by pointer *)
+  let singles = Hashtbl.create 64 in
+  let single i e =
+    match Hashtbl.find_opt singles (i, e) with
+    | Some arr -> arr
+    | None ->
+      let arr = [| e |] in
+      Hashtbl.add singles (i, e) arr;
+      arr
+  in
+  let init = Array.make (Array.length layout.State.names) [||] in
+  List.iter
+    (fun (c, set) ->
+      let i = slot c in
+      init.(i) <-
+        (match Term.Set.elements (Term.Set.map Term.intern set) with
+        | [ e ] -> single i e
+        | elts -> Array.of_list elts))
+    components;
+  let compile r =
+    let takes = Array.of_list r.r_takes in
+    let c_takes =
+      Array.mapi
+        (fun k tk ->
+          let k_slot = slot tk.t_component in
+          let k_ground = Term.is_ground tk.t_pattern in
+          let k_pattern =
+            if k_ground then Term.intern tk.t_pattern else tk.t_pattern
+          in
+          let k_distinct =
+            if not tk.t_consume then []
+            else
+              List.filter
+                (fun k' ->
+                  takes.(k').t_consume
+                  && String.equal takes.(k').t_component tk.t_component)
+                (List.init k Fun.id)
+          in
+          { k_slot; k_pattern; k_ground; k_consume = tk.t_consume;
+            k_zobrist =
+              (if k_ground then
+                 State.zobrist layout.State.salts.(k_slot) k_pattern
+               else 0);
+            k_distinct })
+        takes
+    in
+    let c_puts =
+      Array.of_list
+        (List.map
+           (fun p ->
+             let q_slot = slot p.p_component in
+             let q_ground = Term.is_ground p.p_template in
+             let q_template =
+               if q_ground then Term.intern p.p_template else p.p_template
+             in
+             { q_slot; q_template; q_ground;
+               q_zobrist =
+                 (if q_ground then
+                    State.zobrist layout.State.salts.(q_slot) q_template
+                  else 0);
+               q_single =
+                 (if q_ground then single q_slot q_template else [||]) })
+           r.r_puts)
+    in
+    { c_rule = r;
+      c_takes;
+      c_puts;
+      c_read_slots =
+        distinct_slots (Array.to_list (Array.map (fun k -> k.k_slot) c_takes));
+      c_write_slots =
+        distinct_slots
+          (List.filter_map
+             (fun k -> if k.k_consume then Some k.k_slot else None)
+             (Array.to_list c_takes)
+          @ Array.to_list (Array.map (fun q -> q.q_slot) c_puts));
+      c_ground = Array.for_all (fun k -> k.k_ground) c_takes;
+      c_never =
+        Array.exists
+          (fun k ->
+            k.k_ground
+            && List.exists
+                 (fun k' ->
+                   c_takes.(k').k_ground
+                   && Term.equal c_takes.(k').k_pattern k.k_pattern)
+                 k.k_distinct)
+          c_takes }
+  in
+  { name; components; rules; layout;
+    initial = State.make layout init;
+    compiled = Array.of_list (List.map compile rules) }
+
 let make ~components ~rules name =
-  let t = { name; components; rules } in
-  match validate t with
+  match validate_parts ~components ~rules with
   | Ok () ->
     Log.debug (fun m ->
         m "APA %s: %d state components, %d elementary automata" name
           (List.length components) (List.length rules));
-    t
+    build ~components ~rules name
   | Error (e :: _) -> invalid_arg (Fmt.str "Apa.make %s: %a" name pp_error e)
   | Error [] -> assert false
 
@@ -282,93 +603,181 @@ let producers t c =
       List.exists (fun p -> String.equal p.p_component c) r.r_puts)
     t.rules
 
-let initial_state t =
-  List.fold_left
-    (fun s (c, init) -> State.set c (Term.Set.map Term.intern init) s)
-    State.empty t.components
+let initial_state t = t.initial
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* All interpretations of a rule in a state: enumerate, take by take, the
-   possible bindings.  Distinct consuming takes of the same component must
+let m_rejected_empty = Metrics.counter "apa.rules_rejected_empty"
+
+(* States built outside the APA (from [State.empty] by [State.set]) are
+   moved onto its layout first, keeping any extra components after the
+   APA's own slots so that compiled slot numbers stay valid. *)
+let on_layout t (s : State.t) =
+  if s.State.layout == t.layout then s
+  else
+    let layout =
+      State.layout
+        (Array.to_list t.layout.State.names @ Array.to_list s.State.layout.names)
+    in
+    State.make layout
+      (Array.map (fun name -> State.elements name s) layout.State.names)
+
+(* Rejected before any allocation when a take's component is empty. *)
+let has_empty_take cr (s : State.t) =
+  let slots = cr.c_read_slots in
+  let rec go i =
+    i < Array.length slots
+    && (Array.length s.State.slots.(slots.(i)) = 0 || go (i + 1))
+  in
+  go 0
+
+(* The successor of one binding: consumed elements are removed, then the
+   puts are added in order, with the hash updated element by element.
+   Slots the firing leaves unchanged stay shared with [s], also when an
+   element was removed and put back. *)
+let fire t cr (s : State.t) chosen subst =
+  let slots = Array.copy s.State.slots in
+  let salts = t.layout.State.salts in
+  let h = ref s.State.h in
+  Array.iteri
+    (fun k tk ->
+      if tk.k_consume then begin
+        let e =
+          if tk.k_ground then tk.k_pattern
+          else s.State.slots.(tk.k_slot).(chosen.(k))
+        in
+        slots.(tk.k_slot) <- State.remove slots.(tk.k_slot) e;
+        h :=
+          !h
+          - if tk.k_ground then tk.k_zobrist else State.zobrist salts.(tk.k_slot) e
+      end)
+    cr.c_takes;
+  Array.iter
+    (fun q ->
+      (* interning makes recurring data items physically shared, so state
+         comparisons hit the [==] fast paths of [Term.compare] *)
+      let e =
+        if q.q_ground then q.q_template
+        else Term.intern (Term.Subst.apply subst q.q_template)
+      in
+      let arr = slots.(q.q_slot) in
+      let arr' =
+        if Array.length arr = 0 && q.q_ground then q.q_single
+        else State.insert arr e
+      in
+      if arr' != arr then begin
+        slots.(q.q_slot) <- arr';
+        h :=
+          !h + if q.q_ground then q.q_zobrist else State.zobrist salts.(q.q_slot) e
+      end)
+    cr.c_puts;
+  Array.iter
+    (fun i ->
+      if State.equal_sorted slots.(i) s.State.slots.(i) then
+        slots.(i) <- s.State.slots.(i))
+    cr.c_write_slots;
+  { State.layout = s.State.layout; slots; h = !h }
+
+(* All interpretations of a rule in [s], passed to [emit] in ascending
+   lexicographic order of the matched elements (take by take), each with
+   its substitution and the matched index of every take.  A ground pattern
+   is found by binary search; a substitution is built only for the
+   non-ground ones.  Distinct consuming takes of the same component must
    match distinct elements (set semantics: both elements are removed). *)
-type binding = { subst : Term.Subst.t; consumed : (string * Term.t) list }
-
-let match_takes state takes =
-  let step acc tk =
-    List.concat_map
-      (fun b ->
-        (* extensions of [b] by one matched element of this take *)
-        let available = State.get tk.t_component state in
-        Term.Set.fold
-          (fun elt acc' ->
-            let already_consumed =
-              List.exists
-                (fun (c, e) ->
-                  String.equal c tk.t_component && Term.equal e elt)
-                b.consumed
-            in
-            if tk.t_consume && already_consumed then acc'
-            else
-              match Term.match_ ~pattern:tk.t_pattern ~target:elt with
-              | None -> acc'
-              | Some s -> (
-                match Term.Subst.merge b.subst s with
-                | None -> acc'
-                | Some subst ->
-                  let consumed =
-                    if tk.t_consume then (tk.t_component, elt) :: b.consumed
-                    else b.consumed
-                  in
-                  { subst; consumed } :: acc'))
-          available [])
-      acc
+let iter_matches cr (s : State.t) emit acc =
+  let takes = cr.c_takes in
+  let n = Array.length takes in
+  let chosen = Array.make n 0 in
+  let clash tk i = List.exists (fun k' -> chosen.(k') = i) tk.k_distinct in
+  let rec go k subst acc =
+    if k = n then
+      if cr.c_rule.r_guard subst then emit chosen subst acc else acc
+    else
+      let tk = takes.(k) in
+      let arr = s.State.slots.(tk.k_slot) in
+      if tk.k_ground then begin
+        let i = State.find arr tk.k_pattern in
+        if i < 0 || clash tk i then acc
+        else begin
+          chosen.(k) <- i;
+          go (k + 1) subst acc
+        end
+      end
+      else begin
+        let acc = ref acc in
+        for i = 0 to Array.length arr - 1 do
+          if not (clash tk i) then
+            match Term.match_in subst ~pattern:tk.k_pattern ~target:arr.(i) with
+            | None -> ()
+            | Some subst ->
+              chosen.(k) <- i;
+              acc := go (k + 1) subst !acc
+        done;
+        !acc
+      end
   in
-  List.fold_left step [ { subst = Term.Subst.empty; consumed = [] } ] takes
+  go 0 Term.Subst.empty acc
 
-let interpretations rule state =
-  match_takes state rule.r_takes |> List.filter (fun b -> rule.r_guard b.subst)
+(* A rule whose patterns are all ground has at most one interpretation,
+   with the empty substitution; [fire] removes the patterns themselves,
+   so no indices are recorded. *)
+let iter_bindings cr (s : State.t) emit acc =
+  if not cr.c_ground then iter_matches cr s emit acc
+  else
+    let takes = cr.c_takes in
+    let rec present k =
+      k = Array.length takes
+      || State.find s.State.slots.(takes.(k).k_slot) takes.(k).k_pattern >= 0
+         && present (k + 1)
+    in
+    if (not cr.c_never) && present 0 && cr.c_rule.r_guard Term.Subst.empty
+    then emit [||] Term.Subst.empty acc
+    else acc
 
-let apply_binding rule state b =
-  let state =
-    List.fold_left
-      (fun s (c, e) -> State.remove_elt c e s)
-      state b.consumed
-  in
-  (* Interning the produced terms makes recurring data items physically
-     shared, so state comparisons during exploration hit the [==] fast
-     paths of [Term.compare]. *)
-  List.fold_left
-    (fun s p ->
-      State.add_elt p.p_component
-        (Term.intern (Term.Subst.apply b.subst p.p_template))
-        s)
-    state rule.r_puts
-
-(* All transitions enabled in [state]: (rule, action label, successor). *)
+(* All transitions enabled in [state]: (rule, action label, successor),
+   rule by rule in declaration order and, within a rule, in descending
+   order of the matched elements.  The successors of each rule are consed
+   in ascending order, last rule first, so the list needs no reversal. *)
 let step t state =
+  let state = on_layout t state in
   let obs = Metrics.enabled () in
-  List.concat_map
-    (fun r ->
-      if obs then Metrics.incr m_rules_tried;
-      let bindings = interpretations r state in
-      if obs then begin
-        Metrics.incr ~by:(List.length bindings) m_bindings;
-        Metrics.incr
-          ~by:(List.length bindings * List.length r.r_puts)
-          m_terms
-      end;
-      List.map
-        (fun b -> (r, r.r_label b.subst, apply_binding r state b))
-        bindings)
-    t.rules
+  let rules = t.compiled in
+  let acc = ref [] in
+  let found = ref 0 and terms = ref 0 and rejected = ref 0 in
+  for r = Array.length rules - 1 downto 0 do
+    let cr = rules.(r) in
+    if has_empty_take cr state then incr rejected
+    else begin
+      let rule = cr.c_rule in
+      let before = !found in
+      acc :=
+        iter_bindings cr state
+          (fun chosen subst acc ->
+            incr found;
+            (rule, rule.r_label subst, fire t cr state chosen subst) :: acc)
+          !acc;
+      terms := !terms + ((!found - before) * Array.length cr.c_puts)
+    end
+  done;
+  if obs then begin
+    Metrics.incr ~by:(Array.length rules) m_rules_tried;
+    Metrics.incr ~by:!rejected m_rejected_empty;
+    Metrics.incr ~by:!found m_bindings;
+    Metrics.incr ~by:!terms m_terms
+  end;
+  !acc
 
 let enabled_rules t state =
-  List.filter (fun r -> interpretations r state <> []) t.rules
+  let state = on_layout t state in
+  Array.to_list t.compiled
+  |> List.filter (fun cr ->
+         (not (has_empty_take cr state))
+         && iter_bindings cr state (fun _ _ _ -> true) false)
+  |> List.map (fun cr -> cr.c_rule)
 
-let is_deadlocked t state = step t state = []
+let is_deadlocked t state = enabled_rules t state = []
 
 (* ------------------------------------------------------------------ *)
 (* Composition                                                         *)
@@ -410,17 +819,18 @@ let prefix ?(keep = []) ~prefix:pfx t =
             List.map (fun p -> { p with p_component = ren p.p_component }) r.r_puts })
       t.rules
   in
-  { name = pfx ^ t.name; components; rules }
+  build ~components ~rules (pfx ^ t.name)
 
 let with_initial component init t =
   if not (List.mem_assoc component t.components) then
     invalid_arg
       (Printf.sprintf "Apa.with_initial: unknown state component %s" component);
-  { t with
-    components =
-      List.map
-        (fun (c, old) -> if String.equal c component then (c, init) else (c, old))
-        t.components }
+  build
+    ~components:
+      (List.map
+         (fun (c, old) -> if String.equal c component then (c, init) else (c, old))
+         t.components)
+    ~rules:t.rules t.name
 
 let pp ppf t =
   let pp_comp ppf (c, init) =

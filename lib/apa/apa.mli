@@ -11,10 +11,13 @@ module Term = Fsa_term.Term
 module Action = Fsa_term.Action
 module Smap : Map.S with type key = string
 
-(** Global states: one set of ground terms per state component.  The
-    representation carries a memoized structural hash, so states are
-    hashed at most once however often the exploration's state table looks
-    them up. *)
+(** Global states: one set of ground terms per state component.  A state
+    of an APA is an array indexed by the APA's component order, each slot
+    a sorted array of interned terms; successors share the slots their
+    firing left unchanged, and the hash is a sum of per-(component, term)
+    values updated incrementally by each firing.  Equality, order and
+    hash treat a missing component as empty, so a state built by {!set}
+    from {!empty} equals the APA state holding the same sets. *)
 module State : sig
   type t
 
@@ -28,7 +31,7 @@ module State : sig
   val equal : t -> t -> bool
 
   val hash : t -> int
-  (** Consistent with [equal]. *)
+  (** Consistent with [equal]; well mixed in its low bits. *)
 
   val components : t -> string list
 
@@ -118,7 +121,11 @@ val producers : t -> string -> rule list
 val initial_state : t -> State.t
 
 val step : t -> State.t -> (rule * Action.t * State.t) list
-(** All enabled transitions of all elementary automata in a state. *)
+(** All enabled transitions of all elementary automata in a state: rule
+    by rule in declaration order, and within a rule in descending order
+    of the matched elements.  Rules are compiled once per APA (by
+    {!make}, {!prefix} and {!with_initial}); a rule with an empty take
+    component is rejected before any matching. *)
 
 val enabled_rules : t -> State.t -> rule list
 val is_deadlocked : t -> State.t -> bool

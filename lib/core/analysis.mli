@@ -138,7 +138,6 @@ type quotient_cache = {
 
 val quotient :
   ?max_states:int ->
-  ?jobs:int ->
   ?progress:Fsa_obs.Progress.t ->
   Fsa_sym.Sym.plan ->
   Fsa_apa.Apa.t ->
@@ -174,7 +173,6 @@ val unfolded :
 val tool :
   ?meth:dependence_method ->
   ?max_states:int ->
-  ?jobs:int ->
   ?prune:bool ->
   ?flow:Fsa_flow.Flow.t ->
   ?reduce:Fsa_sym.Sym.plan ->
@@ -187,9 +185,7 @@ val tool :
 (** With observability enabled ({!Fsa_obs.Metrics.set_enabled}), each
     pipeline phase runs inside its own span ([tool.explore],
     [tool.min_max], [tool.dependence_matrix], [tool.derive]);
-    [progress] is threaded through the state-space exploration.  With
-    [jobs > 1] the exploration runs on {!Lts.explore_par} over that many
-    domains — the resulting graph is identical to the sequential one.
+    [progress] is threaded through the state-space exploration.
 
     [prune] (default [false]) skips the dependence test for (min, max)
     pairs {!Fsa_struct.Structural} proves statically independent (no
@@ -228,9 +224,8 @@ val tool :
     to orbit representatives; an ample-set component restricts the
     explored interleavings and forces static pruning on (see
     {!reduction_info} and DESIGN.md §13 for the soundness argument).
-    [jobs] does not parallelise the unfold (the quotient dominates the
-    matching cost).  Models without the default rule-name labelling
-    fall back to unreduced exploration, recorded in [ri_fallback].
+    Models without the default rule-name labelling fall back to
+    unreduced exploration, recorded in [ri_fallback].
     The soundness gate: on every model completing un-reduced, the
     reduced run must produce the identical requirement set — the test
     suite enforces this across the bundled examples. *)

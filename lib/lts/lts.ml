@@ -34,10 +34,8 @@ module Progress = Fsa_obs.Progress
 let m_states = Metrics.counter "lts.states_explored"
 let m_transitions = Metrics.counter "lts.transitions"
 let m_dedup = Metrics.counter "lts.dedup_hits"
-let m_shard_conflicts = Metrics.counter "lts.shard_conflicts"
 let g_frontier_peak = Metrics.gauge "lts.frontier_peak"
 let g_rate = Metrics.gauge "lts.states_per_sec"
-let g_domains = Metrics.gauge "lts.domains"
 
 let h_out_degree =
   Metrics.histogram ~buckets:[| 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64. |]
@@ -81,8 +79,8 @@ end
 
 (* Exploration-time reduction hooks (symmetry / partial order, see
    Fsa_sym).  Both must be pure functions of their arguments: the
-   sequential and the parallel explorer apply them transition-by-
-   transition and rely on that purity for bit-identical results. *)
+   explorer applies them transition by transition, and the state
+   numbering is reproducible only if they are. *)
 type reduction = {
   rd_canon : State.t -> State.t;
       (* canonical orbit representative; applied to every successor
@@ -104,17 +102,22 @@ let order_transition a b =
     let c = Action.compare a.t_label b.t_label in
     if c <> 0 then c else Stdlib.compare a.t_dst b.t_dst
 
-(* Shared final assembly: both the sequential and the parallel explorer
-   hand their states (in canonical BFS order) and edges to this, so the
+(* Shared final assembly: the explorer and the importers ([of_edges],
+   [of_graph]) hand their states (in BFS order) and edges to this, so the
    resulting structures are constructed identically. *)
 let assemble ~apa_name ~states ~iter_edges =
-  let succs = Array.make (Array.length states) [] in
-  let preds = Array.make (Array.length states) [] in
-  iter_edges (fun tr ->
-      succs.(tr.t_src) <- tr :: succs.(tr.t_src);
-      preds.(tr.t_dst) <- tr :: preds.(tr.t_dst));
+  let n = Array.length states in
+  let succs = Array.make n [] in
+  iter_edges (fun tr -> succs.(tr.t_src) <- tr :: succs.(tr.t_src));
   Array.iteri (fun i l -> succs.(i) <- List.sort order_transition l) succs;
-  Array.iteri (fun i l -> preds.(i) <- List.sort order_transition l) preds;
+  (* walking the sorted successor lists backwards, last source first,
+     conses every predecessor list into [order_transition] order *)
+  let preds = Array.make n [] in
+  for i = n - 1 downto 0 do
+    List.iter
+      (fun tr -> preds.(tr.t_dst) <- tr :: preds.(tr.t_dst))
+      (List.rev succs.(i))
+  done;
   { apa_name; states; initial = 0; succs; preds }
 
 let explore ?(max_states = 1_000_000) ?(reduce = no_reduction) ?progress apa =
@@ -184,259 +187,6 @@ let explore ?(max_states = 1_000_000) ?(reduce = no_reduction) ?progress apa =
         (Buf.length states) (Buf.length edges));
   assemble ~apa_name:(Fsa_apa.Apa.name apa) ~states:(Buf.to_array states)
     ~iter_edges:(fun f -> Buf.iter f edges)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel exploration                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Domain-based level-synchronous BFS.
-
-   Each level's frontier is expanded by [jobs] domains that self-schedule
-   chunks off a shared atomic cursor (cheap work-stealing); discovered
-   states are deduplicated in a sharded hash table — one mutex per shard,
-   shard chosen by the state's memoized hash — and numbered provisionally
-   by an atomic counter, so provisional numbers depend on domain
-   interleaving.  A final sequential renumbering pass replays the
-   discovery in canonical BFS order over the recorded per-state successor
-   lists (which preserve [Apa.step] order), making the result
-   bit-identical to {!explore}: same M-k numbering, same sorted
-   transition lists.  The expensive work — rule matching in [Apa.step] —
-   happens in the parallel phase; renumbering is a linear scan. *)
-
-type shard = {
-  sh_lock : Mutex.t;
-  sh_table : int State_table.t;
-  mutable sh_members : (int * State.t) list;
-}
-
-let explore_par ?(max_states = 1_000_000) ?(reduce = no_reduction) ?progress
-    ?shards ~jobs apa =
-  if jobs <= 1 then explore ~max_states ~reduce ?progress apa
-  else begin
-    Span.with_ ~cat:"lts" "lts.explore_par" @@ fun () ->
-    let obs = Metrics.enabled () in
-    let t0 = if obs then Span.now_ns () else 0L in
-    (* instruments are registered here, on the main domain: the metrics
-       registry itself is not safe for concurrent registration *)
-    let domain_rate =
-      Array.init jobs (fun i ->
-          Metrics.gauge (Printf.sprintf "lts.d%d.states_per_sec" i))
-    in
-    let nshards =
-      let requested =
-        match shards with Some s -> max 1 s | None -> 64 * jobs
-      in
-      let rec pow2 n = if n >= requested then n else pow2 (2 * n) in
-      pow2 1
-    in
-    let mask = nshards - 1 in
-    let shards =
-      Array.init nshards (fun _ ->
-          { sh_lock = Mutex.create ();
-            sh_table = State_table.create 256;
-            sh_members = [] })
-    in
-    let next_id = Atomic.make 0 in
-    let too_large = Atomic.make false in
-    let conflicts = Atomic.make 0 in
-    let total_transitions = Atomic.make 0 in
-    let total_dedup = Atomic.make 0 in
-    (* insert into the sharded table; returns the id, whether the state is
-       new, and whether the shard lock was contended *)
-    let insert st =
-      let sh = shards.(State.hash st land mask) in
-      let contended =
-        if obs then
-          if Mutex.try_lock sh.sh_lock then false
-          else begin
-            Mutex.lock sh.sh_lock;
-            true
-          end
-        else begin
-          Mutex.lock sh.sh_lock;
-          false
-        end
-      in
-      let res =
-        match State_table.find_opt sh.sh_table st with
-        | Some id -> (id, false)
-        | None ->
-          let id = Atomic.fetch_and_add next_id 1 in
-          if id >= max_states then begin
-            Atomic.set too_large true;
-            (id, false)
-          end
-          else begin
-            State_table.replace sh.sh_table st id;
-            sh.sh_members <- (id, st) :: sh.sh_members;
-            (id, true)
-          end
-      in
-      Mutex.unlock sh.sh_lock;
-      (res, contended)
-    in
-    let initial = Fsa_apa.Apa.initial_state apa in
-    let (id0, _), _ = insert initial in
-    assert (id0 = 0);
-    let frontier = ref [| (0, initial) |] in
-    (* per-domain accumulators; index [w] is touched only by worker [w]
-       while domains run, and by the main domain after the join *)
-    let all_records : (int * (Action.t * int) list) list array =
-      Array.make jobs []
-    in
-    let domain_expanded = Array.make jobs 0 in
-    let domain_busy_ns = Array.make jobs 0L in
-    let exception Abort in
-    Fun.protect
-      ~finally:(fun () ->
-        if obs then begin
-          Metrics.set_gauge g_domains (float_of_int jobs);
-          let elapsed =
-            Int64.to_float (Int64.sub (Span.now_ns ()) t0) /. 1e9
-          in
-          if elapsed > 0. then
-            Metrics.set_gauge g_rate
-              (float_of_int (Atomic.get next_id) /. elapsed)
-        end;
-        match progress with
-        | Some p -> Progress.finish p ~count:(Atomic.get next_id)
-        | None -> ())
-    @@ fun () ->
-    while Array.length !frontier > 0 do
-      let fr = !frontier in
-      let len = Array.length fr in
-      if obs then Metrics.set_gauge_max g_frontier_peak (float_of_int len);
-      let cursor = Atomic.make 0 in
-      let chunk = max 1 (min 64 (len / (jobs * 4))) in
-      let next_frontiers = Array.make jobs [] in
-      let worker w =
-        let t_start = Span.now_ns () in
-        let my_records = ref [] in
-        let my_next = ref [] in
-        let my_expanded = ref 0 in
-        let my_conflicts = ref 0 in
-        let my_transitions = ref 0 in
-        let my_dedup = ref 0 in
-        (try
-           let continue = ref true in
-           while !continue do
-             if Atomic.get too_large then raise Abort;
-             let i0 = Atomic.fetch_and_add cursor chunk in
-             if i0 >= len then continue := false
-             else
-               for i = i0 to min (len - 1) (i0 + chunk - 1) do
-                 let src_id, src = fr.(i) in
-                 let succs = reduce.rd_ample src (Fsa_apa.Apa.step apa src) in
-                 incr my_expanded;
-                 my_transitions := !my_transitions + List.length succs;
-                 let dsts =
-                   List.map
-                     (fun (_rule, label, dst) ->
-                       let (id, fresh), contended =
-                         insert (reduce.rd_canon dst)
-                       in
-                       if contended then incr my_conflicts;
-                       if Atomic.get too_large then raise Abort;
-                       if fresh then my_next := (id, dst) :: !my_next
-                       else incr my_dedup;
-                       (label, id))
-                     succs
-                 in
-                 my_records := (src_id, dsts) :: !my_records
-               done
-           done
-         with Abort -> ());
-        all_records.(w) <- List.rev_append !my_records all_records.(w);
-        next_frontiers.(w) <- !my_next;
-        domain_expanded.(w) <- domain_expanded.(w) + !my_expanded;
-        domain_busy_ns.(w) <-
-          Int64.add domain_busy_ns.(w)
-            (Int64.sub (Span.now_ns ()) t_start);
-        ignore (Atomic.fetch_and_add conflicts !my_conflicts);
-        ignore (Atomic.fetch_and_add total_transitions !my_transitions);
-        ignore (Atomic.fetch_and_add total_dedup !my_dedup)
-      in
-      (* spawned workers adopt the caller's trace context, so their
-         recorder events and spans land in the requesting trace's tree
-         instead of an anonymous one *)
-      let ctx = Span.current_context () in
-      let doms =
-        Array.init (jobs - 1) (fun w ->
-            Domain.spawn (fun () -> Span.with_context ctx (fun () -> worker (w + 1))))
-      in
-      worker 0;
-      Array.iter Domain.join doms;
-      if Atomic.get too_large then raise (State_space_too_large max_states);
-      frontier :=
-        Array.concat (Array.to_list (Array.map Array.of_list next_frontiers));
-      match progress with
-      | Some p ->
-        Progress.tick p ~count:(Atomic.get next_id)
-          ~frontier:(Array.length !frontier)
-      | None -> ()
-    done;
-    let total = Atomic.get next_id in
-    let prov_states = Array.make total initial in
-    Array.iter
-      (fun sh ->
-        List.iter (fun (id, st) -> prov_states.(id) <- st) sh.sh_members)
-      shards;
-    let prov_succ = Array.make total [] in
-    Array.iter
-      (List.iter (fun (src, dsts) -> prov_succ.(src) <- dsts))
-      all_records;
-    (* canonical renumbering: replay the BFS deterministically — expand in
-       canonical id order, successors in recorded Apa.step order *)
-    let canon = Array.make total (-1) in
-    let order = Array.make total 0 in
-    canon.(0) <- 0;
-    let nb = ref 1 in
-    let c = ref 0 in
-    while !c < !nb do
-      let p = order.(!c) in
-      List.iter
-        (fun (_label, d) ->
-          if canon.(d) < 0 then begin
-            canon.(d) <- !nb;
-            order.(!nb) <- d;
-            incr nb
-          end)
-        prov_succ.(p);
-      incr c
-    done;
-    assert (!nb = total);
-    let states = Array.init total (fun cid -> prov_states.(order.(cid))) in
-    let iter_edges f =
-      for cid = 0 to total - 1 do
-        List.iter
-          (fun (label, d) ->
-            f { t_src = cid; t_label = label; t_dst = canon.(d) })
-          prov_succ.(order.(cid))
-      done
-    in
-    if obs then begin
-      Metrics.incr ~by:total m_states;
-      Metrics.incr ~by:(Atomic.get total_transitions) m_transitions;
-      Metrics.incr ~by:(Atomic.get total_dedup) m_dedup;
-      Metrics.incr ~by:(Atomic.get conflicts) m_shard_conflicts;
-      Array.iter
-        (fun succs ->
-          Metrics.observe h_out_degree (float_of_int (List.length succs)))
-        prov_succ;
-      Array.iteri
-        (fun w busy ->
-          let busy_s = Int64.to_float busy /. 1e9 in
-          if busy_s > 0. then
-            Metrics.set_gauge domain_rate.(w)
-              (float_of_int domain_expanded.(w) /. busy_s))
-        domain_busy_ns
-    end;
-    Log.debug (fun m ->
-        m "explored %s with %d domains: %d states, %d transitions"
-          (Fsa_apa.Apa.name apa) jobs total
-          (Atomic.get total_transitions));
-    assemble ~apa_name:(Fsa_apa.Apa.name apa) ~states ~iter_edges
-  end
 
 let name t = t.apa_name
 let nb_states t = Array.length t.states

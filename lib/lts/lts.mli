@@ -14,8 +14,8 @@ exception State_space_too_large of int
 
 (** Exploration-time reduction hooks, supplied by {!Fsa_sym} (the LTS
     layer itself stays reduction-agnostic).  Both functions must be pure:
-    they are applied transition-by-transition and the bit-identity of
-    sequential and parallel exploration relies on it. *)
+    they are applied transition by transition, and the state numbering
+    is reproducible only if they are. *)
 type reduction = {
   rd_canon : State.t -> State.t;
       (** canonical orbit representative, applied to every successor
@@ -44,26 +44,6 @@ val explore :
     With [reduce], successor states are canonicalised and successor
     lists restricted before interning — the result is the reduced
     (quotient) graph.
-    @raise State_space_too_large beyond [max_states] (default 1e6). *)
-
-val explore_par :
-  ?max_states:int ->
-  ?reduce:reduction ->
-  ?progress:Fsa_obs.Progress.t ->
-  ?shards:int ->
-  jobs:int ->
-  Fsa_apa.Apa.t ->
-  t
-(** Parallel breadth-first exploration over [jobs] domains: a
-    level-synchronous BFS with a sharded state table and chunked
-    self-scheduling over each frontier, followed by a canonical
-    renumbering pass.  The result is bit-identical to {!explore} — same
-    [M-k] state numbering, same sorted transition lists — so parallel
-    and sequential analyses are interchangeable.  [shards] rounds up to
-    a power of two (default [64 * jobs]).  [jobs <= 1] falls back to
-    {!explore}.  With observability enabled, additionally records
-    [lts.domains], [lts.shard_conflicts] and per-domain
-    [lts.d<i>.states_per_sec].
     @raise State_space_too_large beyond [max_states] (default 1e6). *)
 
 val name : t -> string

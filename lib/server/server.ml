@@ -130,10 +130,6 @@ module Exec = struct
           && Int64.compare (Span.now_ns ()) deadline_ns > 0
         then raise Request_timeout)
 
-  let explore_lts ~max_states ~jobs ~progress apa =
-    if jobs > 1 then Lts.explore_par ~max_states ?progress ~jobs apa
-    else Lts.explore ~max_states ?progress apa
-
   let actions_json set =
     Json.List
       (List.map
@@ -190,17 +186,17 @@ module Exec = struct
           | None -> Json.Null
           | Some s -> Json.Str s ) ]
 
-  let run_reach ~max_states ~jobs ~progress ~reduce spec =
+  let run_reach ~max_states ~progress ~reduce spec =
     let apa = Elaborate.apa_of_spec spec in
     match reduce_plan ~reduce spec apa with
     | None ->
-      let lts = explore_lts ~max_states ~jobs ~progress apa in
+      let lts = Lts.explore ~max_states ?progress apa in
       let output =
         Fmt.str "%a@.%a@." Lts.pp_stats (Lts.stats lts) Lts.pp_min_max lts
       in
       (summary_of_lts lts, output, 0)
     | Some pl ->
-      let lts = Analysis.quotient ~max_states ~jobs ?progress pl apa in
+      let lts = Analysis.quotient ~max_states ?progress pl apa in
       let order = Sym.group_order pl.Sym.pl_report in
       let output =
         Fmt.str "%a@.%a@.reduction: %s quotient (group order %.0f)@."
@@ -455,7 +451,7 @@ module Exec = struct
      covers APA *and* models: classification maps requirements onto the
      declared functional models, so a model edit must change it even
      when the APA part is untouched. *)
-  let tool_report_of cfg ~meth ~max_states ~jobs ~prune ~flow ~progress
+  let tool_report_of cfg ~meth ~max_states ~prune ~flow ~progress
       ~reduce ~shared ?quotient_cache spec =
     let apa = Elaborate.apa_of_spec spec in
     (* the flow graph is rebuilt per request: it is cheap (no state
@@ -471,7 +467,7 @@ module Exec = struct
              apa)
     in
     let tr =
-      Analysis.tool ~meth ~max_states ~jobs ~prune ?flow:flow_graph
+      Analysis.tool ~meth ~max_states ~prune ?flow:flow_graph
         ?reduce:(reduce_plan ~reduce spec apa)
         ~shared ?quotient_cache ?progress ~stakeholder:cfg.sv_stakeholder apa
     in
@@ -487,10 +483,10 @@ module Exec = struct
     in
     (tr, rpt)
 
-  let run_requirements cfg ~meth ~max_states ~jobs ~prune ~flow ~progress
+  let run_requirements cfg ~meth ~max_states ~prune ~flow ~progress
       ~reduce ~shared ?quotient_cache spec =
     let report, rpt =
-      tool_report_of cfg ~meth ~max_states ~jobs ~prune ~flow ~progress
+      tool_report_of cfg ~meth ~max_states ~prune ~flow ~progress
         ~reduce ~shared ?quotient_cache spec
     in
     let reduction =
@@ -553,7 +549,7 @@ module Exec = struct
      path when the spec elaborates instances (or the manual path for an
      explicitly named sos), otherwise the manual path over the declared
      functional models, mirroring [run_analyze]'s selection. *)
-  let run_report cfg ~meth ~max_states ~jobs ~prune ~flow ~progress ~reduce
+  let run_report cfg ~meth ~max_states ~prune ~flow ~progress ~reduce
       ~shared ~sos ?quotient_cache spec =
     let manual soses =
       let digest = Elaborate.digest_of_spec ~parts:[ `Models ] spec in
@@ -565,7 +561,7 @@ module Exec = struct
       | None ->
         if (Elaborate.env_of_spec spec).Elaborate.instances <> [] then
           let _, rpt =
-            tool_report_of cfg ~meth ~max_states ~jobs ~prune ~flow ~progress
+            tool_report_of cfg ~meth ~max_states ~prune ~flow ~progress
               ~reduce ~shared ?quotient_cache spec
           in
           [ rpt ]
@@ -578,14 +574,14 @@ module Exec = struct
         String.concat "\n" (List.map Report.to_markdown rs),
         0 )
 
-  let run_abstract ~keep ~max_states ~jobs ~progress spec =
+  let run_abstract ~keep ~max_states ~progress spec =
     let keep =
       match keep with
       | Some (_ :: _ as ks) -> ks
       | _ -> raise (Usage_error "abstract requires a non-empty keep set")
     in
     let apa = Elaborate.apa_of_spec spec in
-    let lts = explore_lts ~max_states ~jobs ~progress apa in
+    let lts = Lts.explore ~max_states ?progress apa in
     let actions = List.map Action.make keep in
     let h = Hom.preserve actions in
     let dfa = Hom.minimal_automaton h lts in
@@ -624,7 +620,7 @@ module Exec = struct
     | Some Sym.Por -> None
     | k -> k
 
-  let run_verify ~max_states ~jobs ~progress ~reduce spec =
+  let run_verify ~max_states ~progress ~reduce spec =
     let patterns = Elaborate.patterns_of_spec spec in
     if patterns = [] then
       raise (Usage_error "the specification declares no check");
@@ -636,12 +632,12 @@ module Exec = struct
           let lts, _, _ = Analysis.unfolded ~max_states pl apa in
           (lts, "note: symmetry-guided exploration (exact graph)\n")
         with Sym.Unsupported reason ->
-          ( explore_lts ~max_states ~jobs ~progress apa,
+          ( Lts.explore ~max_states ?progress apa,
             Printf.sprintf "note: reduction fell back (%s)\n" reason ))
       | Some _ ->
-        ( explore_lts ~max_states ~jobs ~progress apa,
+        ( Lts.explore ~max_states ?progress apa,
           "note: no reducible symmetry; explored unreduced\n" )
-      | None -> (explore_lts ~max_states ~jobs ~progress apa, "")
+      | None -> (Lts.explore ~max_states ?progress apa, "")
     in
     let results =
       List.map (fun (d, p) -> (d, Pattern.check lts p)) patterns
@@ -691,7 +687,7 @@ module Exec = struct
     | Check -> [ `Apa; `Checks; `Models ]
 
   let run cfg ~op ?(meth = Analysis.Abstract) ?(max_states = 1_000_000)
-      ?(jobs = 1) ?prune ?(flow = false) ?sos ?keep ?reduce ?(shared = true)
+      ?prune ?(flow = false) ?sos ?keep ?reduce ?(shared = true)
       ?progress ?deadline_ns ?(cache = true) ~file spec =
     let prune = Option.value prune ~default:cfg.sv_prune in
     (* the effective reduction is what runs AND what keys the cache:
@@ -719,18 +715,18 @@ module Exec = struct
       in
       try
         match op with
-        | Reach -> run_reach ~max_states ~jobs ~progress ~reduce spec
+        | Reach -> run_reach ~max_states ~progress ~reduce spec
         | Requirements ->
-          run_requirements cfg ~meth ~max_states ~jobs ~prune ~flow ~progress
+          run_requirements cfg ~meth ~max_states ~prune ~flow ~progress
             ~reduce ~shared
             ?quotient_cache:(quotient_hook ())
             spec
         | Analyze -> run_analyze ~sos spec
-        | Abstract -> run_abstract ~keep ~max_states ~jobs ~progress spec
-        | Verify -> run_verify ~max_states ~jobs ~progress ~reduce spec
+        | Abstract -> run_abstract ~keep ~max_states ~progress spec
+        | Verify -> run_verify ~max_states ~progress ~reduce spec
         | Check -> run_check ~file spec
         | Report ->
-          run_report cfg ~meth ~max_states ~jobs ~prune ~flow ~progress
+          run_report cfg ~meth ~max_states ~prune ~flow ~progress
             ~reduce ~shared ~sos
             ?quotient_cache:(quotient_hook ())
             spec
@@ -786,10 +782,10 @@ module Exec = struct
     | None -> fresh ()
     | Some st -> (
       let digest = Elaborate.digest_of_spec ~parts:(digest_parts op) spec in
-      (* [jobs] and [prune] are deliberately not part of the key: neither
-         may change the result (pruning only skips pairs whose dependence
-         is provably negative), so a cached unpruned outcome serves a
-         pruned request and vice versa *)
+      (* [prune] is deliberately not part of the key: it may not change
+         the result (pruning only skips pairs whose dependence is provably
+         negative), so a cached unpruned outcome serves a pruned request
+         and vice versa *)
       let params =
         let ms = ("max_states", string_of_int max_states) in
         (* [reduce] IS part of the key: reduced runs report quotient

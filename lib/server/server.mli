@@ -141,7 +141,6 @@ module Exec : sig
     op:op ->
     ?meth:Fsa_core.Analysis.dependence_method ->
     ?max_states:int ->
-    ?jobs:int ->
     ?prune:bool ->
     ?flow:bool ->
     ?sos:string ->

@@ -11,14 +11,18 @@ let label t = t.label
 let actor t = t.actor
 let args t = t.args
 
+(* Rules build their default label once, so the transition sorts of
+   exploration mostly compare physically equal actions. *)
 let compare a b =
+  if a == b then 0
+  else
   let c = String.compare a.label b.label in
   if c <> 0 then c
   else
     let c = Option.compare Agent.compare a.actor b.actor in
     if c <> 0 then c else Term.compare_list a.args b.args
 
-let equal a b = compare a b = 0
+let equal a b = a == b || compare a b = 0
 
 (* Break-free for the same reason as {!Term.pp}. *)
 let pp ppf t =

@@ -156,10 +156,12 @@ module Subst = struct
     Fmt.pf ppf "{%a}" Fmt.(list ~sep:semi pp_binding) (bindings s)
 end
 
-(* One-way pattern matching: find a substitution [s] such that
+(* One-way pattern matching: extend [sub] to a substitution [s] such that
    [Subst.apply s pattern = target].  The target must be ground for the
-   result to be a true matcher, but we do not enforce this. *)
-let match_ ~pattern ~target =
+   result to be a true matcher, but we do not enforce this.  Extending in
+   place gives the same result as [Subst.merge sub (match_ ...)] without
+   building the intermediate substitution. *)
+let match_in sub ~pattern ~target =
   let rec go s pattern target =
     match s with
     | None -> None
@@ -174,7 +176,9 @@ let match_ ~pattern ~target =
         else None
       | (Sym _ | Int _ | App _), _ -> None)
   in
-  go (Some Subst.empty) pattern target
+  go (Some sub) pattern target
+
+let match_ ~pattern ~target = match_in Subst.empty ~pattern ~target
 
 (* Syntactic unification (no occurs-check shortcuts taken: terms are small). *)
 let unify a b =

@@ -75,6 +75,10 @@ val match_ : pattern:t -> target:t -> Subst.t option
 (** One-way matching: a substitution [s] with [Subst.apply s pattern =
     target], if one exists. *)
 
+val match_in : Subst.t -> pattern:t -> target:t -> Subst.t option
+(** [match_in s ~pattern ~target] extends [s] by matching; equal to
+    [Option.bind (match_ ~pattern ~target) (Subst.merge s)]. *)
+
 val unify : t -> t -> Subst.t option
 (** Syntactic unification with occurs-check. *)
 

@@ -1,6 +1,6 @@
 (* Tests for the shared multi-pair abstraction engine: verdict /
    report / minimal-automaton equivalence with the legacy per-pair path
-   across every bundled example spec (x jobs x --reduce kind), the
+   across every bundled example spec (x --reduce kind), the
    on-the-fly early-decision pass, the quotient-cache hooks at the
    analysis level, and the engine-versioned store keys at the server
    level (pre-engine entries must never replay as shared-pass
@@ -27,10 +27,7 @@ let render r = Fmt.str "%a" Analysis.pp_tool_report r
 (* Equivalence with the legacy per-pair path                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The legacy baseline is computed once per (model, reduction) at
-   jobs = 1: explore_par is bit-identical to the sequential exploration
-   (gated in test_lts), so the shared runs at jobs 2 and 4 compare
-   against the same reference. *)
+(* The legacy baseline is computed once per (model, reduction). *)
 let check_shared_equals_legacy name ?guard_sig apa =
   let stakeholder = V.stakeholder in
   List.iter
@@ -42,25 +39,21 @@ let check_shared_equals_legacy name ?guard_sig apa =
         true
         (legacy.Analysis.t_timings.Analysis.ph_shared = None);
       let legacy_report = render legacy in
-      List.iter
-        (fun jobs ->
-          let sh = Analysis.tool ~jobs ?reduce ~stakeholder apa in
-          let label =
-            Printf.sprintf "%s/--reduce %s/jobs %d" name
-              (match kind with
-              | None -> "none"
-              | Some k -> Sym.kind_to_string k)
-              jobs
-          in
-          Alcotest.(check string)
-            (label ^ ": rendered report byte-identical")
-            legacy_report (render sh);
-          Alcotest.(check bool)
-            (label ^ ": requirement sets identical")
-            true
-            (Auth.equal_set legacy.Analysis.t_requirements
-               sh.Analysis.t_requirements))
-        [ 1; 2; 4 ])
+      let sh = Analysis.tool ?reduce ~stakeholder apa in
+      let label =
+        Printf.sprintf "%s/--reduce %s" name
+          (match kind with
+          | None -> "none"
+          | Some k -> Sym.kind_to_string k)
+      in
+      Alcotest.(check string)
+        (label ^ ": rendered report byte-identical")
+        legacy_report (render sh);
+      Alcotest.(check bool)
+        (label ^ ": requirement sets identical")
+        true
+        (Auth.equal_set legacy.Analysis.t_requirements
+           sh.Analysis.t_requirements))
     [ None; Some Sym.Sym; Some Sym.Sym_por ]
 
 let test_shared_identical_vanet () =

@@ -1,7 +1,7 @@
 (* Tests for the static information-flow analysis: soundness of
    --prune-flow (requirements reports byte-identical with and without
-   the flow pruner across every bundled example spec x jobs x --reduce
-   kind x shared abstraction on/off), the guard-kill refinement, the
+   the flow pruner across every bundled example spec x --reduce kind x
+   shared abstraction on/off), the guard-kill refinement, the
    leak / unsanitized-flow diagnostics on the deliberately leaky
    example, static-flow attribution of pruned pairs, and determinism of
    the check --json diagnostic order under declaration permutation and
@@ -36,7 +36,7 @@ let flow_of spec apa =
 
 (* The baseline is one unpruned run per (model, reduction):
    pp_tool_report prints no timings and only dependent matrix entries,
-   so it is invariant under jobs, engine and pruning — exactly the
+   so it is invariant under engine and pruning — exactly the
    byte-identity the pruner must preserve. *)
 let check_flow_sound name ?guard_sig ~flow apa =
   let stakeholder = V.stakeholder in
@@ -46,29 +46,24 @@ let check_flow_sound name ?guard_sig ~flow apa =
       let base = Analysis.tool ?reduce ~stakeholder apa in
       let base_report = render base in
       List.iter
-        (fun jobs ->
-          List.iter
-            (fun shared ->
-              let pruned =
-                Analysis.tool ~jobs ?reduce ~shared ~flow ~stakeholder apa
-              in
-              let label =
-                Printf.sprintf "%s/--reduce %s/jobs %d/shared %b" name
-                  (match kind with
-                  | None -> "none"
-                  | Some k -> Sym.kind_to_string k)
-                  jobs shared
-              in
-              Alcotest.(check string)
-                (label ^ ": report byte-identical under --prune-flow")
-                base_report (render pruned);
-              Alcotest.(check bool)
-                (label ^ ": requirement sets identical")
-                true
-                (Auth.equal_set base.Analysis.t_requirements
-                   pruned.Analysis.t_requirements))
-            [ true; false ])
-        [ 1; 2; 4 ];
+        (fun shared ->
+          let pruned = Analysis.tool ?reduce ~shared ~flow ~stakeholder apa in
+          let label =
+            Printf.sprintf "%s/--reduce %s/shared %b" name
+              (match kind with
+              | None -> "none"
+              | Some k -> Sym.kind_to_string k)
+              shared
+          in
+          Alcotest.(check string)
+            (label ^ ": report byte-identical under --prune-flow")
+            base_report (render pruned);
+          Alcotest.(check bool)
+            (label ^ ": requirement sets identical")
+            true
+            (Auth.equal_set base.Analysis.t_requirements
+               pruned.Analysis.t_requirements))
+        [ true; false ];
       (* both pruners together: structural attribution wins, the
          requirements still cannot change *)
       let both =

@@ -215,56 +215,15 @@ let test_count_runs_long_chain () =
   in
   Alcotest.(check (option int)) "cyclic" None (Lts.count_complete_runs cycle)
 
-(* The parallel exploration must be bit-identical to the sequential one:
-   same state numbering, same transition lists, same analysis results. *)
-let check_par_matches_seq name apa =
-  let seq = Lts.explore apa in
-  List.iter
-    (fun jobs ->
-      let par = Lts.explore_par ~jobs apa in
-      let ctx = Printf.sprintf "%s jobs=%d" name jobs in
-      Alcotest.(check int) (ctx ^ ": states") (Lts.nb_states seq)
-        (Lts.nb_states par);
-      Alcotest.(check int)
-        (ctx ^ ": transitions")
-        (Lts.nb_transitions seq) (Lts.nb_transitions par);
-      let triples lts =
-        List.map
-          (fun tr -> (tr.Lts.t_src, Action.to_string tr.Lts.t_label, tr.Lts.t_dst))
-          (Lts.transitions lts)
-      in
-      Alcotest.(check (list (triple int string int)))
-        (ctx ^ ": identical transition lists")
-        (triples seq) (triples par);
-      List.iter
-        (fun i ->
-          Alcotest.(check string)
-            (ctx ^ ": state " ^ string_of_int i)
-            (Apa.State.to_string (Lts.state seq i))
-            (Apa.State.to_string (Lts.state par i)))
-        (List.init (Lts.nb_states seq) Fun.id);
-      Alcotest.(check (list string)) (ctx ^ ": minima")
-        (action_list (Lts.minima seq))
-        (action_list (Lts.minima par));
-      Alcotest.(check (list string)) (ctx ^ ": maxima")
-        (action_list (Lts.maxima seq))
-        (action_list (Lts.maxima par));
-      Alcotest.(check (list int)) (ctx ^ ": deadlocks") (Lts.deadlocks seq)
-        (Lts.deadlocks par))
-    [ 1; 2; 4 ]
+(* The explorer must reproduce the map-based oracle's graph: same state
+   numbering, same transition lists. *)
+let test_oracle_vanet () =
+  Test_explore.same_as_oracle "two_vehicles" (V.two_vehicles ());
+  Test_explore.same_as_oracle "four_vehicles" (V.four_vehicles ());
+  Test_explore.same_as_oracle "pairs3" (V.pairs 3)
 
-let test_par_matches_seq_vanet () =
-  check_par_matches_seq "two_vehicles" (V.two_vehicles ());
-  check_par_matches_seq "four_vehicles" (V.four_vehicles ());
-  check_par_matches_seq "pairs3" (V.pairs 3)
-
-let test_par_matches_seq_grid () =
-  check_par_matches_seq "grid" (Fsa_grid.Grid_apa.demand_response ())
-
-let test_par_state_space_bound () =
-  match Lts.explore_par ~max_states:5 ~jobs:2 (V.two_vehicles ()) with
-  | _ -> Alcotest.fail "bound must trigger"
-  | exception Lts.State_space_too_large 5 -> ()
+let test_oracle_grid () =
+  Test_explore.same_as_oracle "grid" (Fsa_grid.Grid_apa.demand_response ())
 
 let suite =
   [ Alcotest.test_case "two-vehicle graph (Fig. 7)" `Quick test_two_vehicle_graph;
@@ -282,9 +241,5 @@ let suite =
       test_progress_finalized_on_abort;
     Alcotest.test_case "count runs on a 100k chain" `Quick
       test_count_runs_long_chain;
-    Alcotest.test_case "parallel = sequential (vanet)" `Quick
-      test_par_matches_seq_vanet;
-    Alcotest.test_case "parallel = sequential (grid)" `Quick
-      test_par_matches_seq_grid;
-    Alcotest.test_case "parallel state space bound" `Quick
-      test_par_state_space_bound ]
+    Alcotest.test_case "explore = oracle (vanet)" `Quick test_oracle_vanet;
+    Alcotest.test_case "explore = oracle (grid)" `Quick test_oracle_grid ]

@@ -147,18 +147,18 @@ let test_timeout_reply () =
 (* Executor caching                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let test_exec_cache_jobs_and_reparse_independent =
+let test_exec_cache_reparse_independent =
   with_store_dir @@ fun store ->
   let cfg = Server.config ~store () in
   let o1 =
-    Exec.run cfg ~op:Exec.Reach ~jobs:1 ~file:"a.fsa"
+    Exec.run cfg ~op:Exec.Reach ~file:"a.fsa"
       (Parser.parse_string spec_text)
   in
   Alcotest.(check bool) "first run computes" false o1.Exec.oc_cached;
-  (* different parse, permuted declarations, different job count and a
-     different file name must all hit the same entry *)
+  (* different parse, permuted declarations and a different file name
+     must all hit the same entry *)
   let o2 =
-    Exec.run cfg ~op:Exec.Reach ~jobs:4 ~file:"b.fsa"
+    Exec.run cfg ~op:Exec.Reach ~file:"b.fsa"
       (Parser.parse_string spec_text_permuted)
   in
   Alcotest.(check bool) "second run hits" true o2.Exec.oc_cached;
@@ -582,8 +582,8 @@ let suite =
   [ Alcotest.test_case "request round-trips" `Quick test_roundtrips;
     Alcotest.test_case "protocol errors" `Quick test_protocol_errors;
     Alcotest.test_case "timeout reply" `Quick test_timeout_reply;
-    Alcotest.test_case "exec cache ignores jobs and reparse" `Quick
-      test_exec_cache_jobs_and_reparse_independent;
+    Alcotest.test_case "exec cache ignores reparse" `Quick
+      test_exec_cache_reparse_independent;
     Alcotest.test_case "exec cache ignores prune" `Quick
       test_exec_cache_ignores_prune;
     Alcotest.test_case "too large carries growth hint" `Quick
