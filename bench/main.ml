@@ -291,7 +291,6 @@ let exp_crosscheck () =
   List.iter
     (fun (name, apa, sos) ->
       let tool = Analysis.tool ~stakeholder:V.stakeholder apa in
-      let direct = Analysis.tool ~meth:Analysis.Direct ~stakeholder:V.stakeholder apa in
       let manual = Analysis.manual sos in
       let c =
         Analysis.crosscheck ~map:V.manual_action_of_label
@@ -300,10 +299,16 @@ let exp_crosscheck () =
       in
       check (name ^ ": manual = tool") ~expected:true ~measured:c.Analysis.c_agree
         Fmt.bool;
+      (* every verdict of the abstraction engine against the direct
+         test on the reachability graph *)
       check (name ^ ": abstract = direct") ~expected:true
         ~measured:
-          (Auth.equal_set tool.Analysis.t_requirements
-             direct.Analysis.t_requirements)
+          (List.for_all
+             (fun (mn, mx, dep) ->
+               dep
+               = Lts.depends_on tool.Analysis.t_lts ~max_action:mx
+                   ~min_action:mn)
+             (Analysis.matrix_pairs tool))
         Fmt.bool)
     [ ("two vehicles", V.two_vehicles (), S.chain_concrete 2);
       ("four vehicles", V.four_vehicles (), S.pairs_concrete 2);
@@ -439,10 +444,7 @@ let exp_canonical_apa () =
   check_int "EVITA tool-path states = order ideals" ~expected:ideals
     ~measured:(Lts.nb_states lts);
   check_int "states (pinned)" ~expected:80460 ~measured:(Lts.nb_states lts);
-  let c =
-    AoM.crosscheck ~meth:Analysis.Direct ~stakeholder:Evita.stakeholder
-      Evita.model
-  in
+  let c = AoM.crosscheck ~stakeholder:Evita.stakeholder Evita.model in
   check "EVITA: tool path = manual path" ~expected:true
     ~measured:c.Analysis.c_agree Fmt.bool;
   (* the canonical APA of the two-vehicle functional model coincides with
@@ -752,53 +754,6 @@ let bench_store () =
      \"warm_p50_ms\": %.3f, \"warm_p99_ms\": %.3f}"
     cold_ns warm_ns hit identical warm_reads warm_p50 warm_p99
 
-(* Static dependence pruning: run the tool path with and without
-   --prune-static over the example systems.  The pruned report must be
-   identical — pruning only skips (min, max) pairs whose dependence the
-   token-flow analysis proves negative — so a divergence is a soundness
-   failure of Fsa_struct, not a perf regression, and fails the harness. *)
-let bench_struct () =
-  let module Metrics = Fsa_obs.Metrics in
-  let module Structural = Fsa_struct.Structural in
-  let pairs_pruned = Structural.pairs_pruned in
-  Metrics.set_enabled true;
-  let systems =
-    [ ("two-vehicles", V.stakeholder, fun () -> V.two_vehicles ());
-      ("four-vehicles", V.stakeholder, fun () -> V.four_vehicles ());
-      ("grid", Fsa_grid.Grid_apa.stakeholder,
-       fun () -> Fsa_grid.Grid_apa.demand_response ()) ]
-  in
-  let rows =
-    List.map
-      (fun (name, stakeholder, mk) ->
-        let apa = mk () in
-        let t0 = Fsa_obs.Span.now_ns () in
-        let plain = Analysis.tool ~stakeholder apa in
-        let plain_ns = Int64.sub (Fsa_obs.Span.now_ns ()) t0 in
-        Metrics.reset ();
-        let t0 = Fsa_obs.Span.now_ns () in
-        let pruned = Analysis.tool ~prune:true ~stakeholder apa in
-        let pruned_ns = Int64.sub (Fsa_obs.Span.now_ns ()) t0 in
-        let skipped = Metrics.counter_value pairs_pruned in
-        let equal =
-          Auth.equal_set plain.Analysis.t_requirements
-            pruned.Analysis.t_requirements
-        in
-        if not equal then incr failures;
-        Fmt.pr "  %-24s plain %a  pruned %a  skipped %d  identical: %s@."
-          name Fsa_obs.Span.pp_dur plain_ns Fsa_obs.Span.pp_dur pruned_ns
-          skipped
-          (if equal then "OK" else "MISMATCH");
-        Printf.sprintf
-          "    \"%s\": {\"wall_ns_unpruned\": %Ld, \"wall_ns_pruned\": %Ld, \
-           \"pairs_pruned\": %d, \"pruned_equal\": %b}"
-          name plain_ns pruned_ns skipped equal)
-      systems
-  in
-  Metrics.set_enabled false;
-  Metrics.reset ();
-  rows
-
 (* Provenance stamp: a benchmark number without the revision, host and
    core count that produced it cannot be compared against later runs. *)
 let bench_meta () =
@@ -892,72 +847,6 @@ let bench_reduction () =
         fallback ok)
     systems
 
-(* Shared multi-pair abstraction engine: the tool path over the EVITA
-   fleet spec with the engine on and off.  Two gates: the rendered
-   requirement reports must be byte-identical (the engine is a pure
-   optimisation), and the shared pass must be at least 2x faster than
-   the legacy per-pair path — one erase/determinise/minimise over the
-   union alphabet instead of one per surviving pair. *)
-let bench_abstraction () =
-  let spec_path =
-    List.find_opt Sys.file_exists
-      [ "examples/specs/evita_fleet.fsa";
-        "../examples/specs/evita_fleet.fsa" ]
-  in
-  match spec_path with
-  | None ->
-    incr failures;
-    Fmt.pr "  %-24s evita_fleet.fsa not found@." "abstraction/evita-fleet";
-    "    \"evita-fleet\": {\"ok\": false, \"error\": \"spec not found\"}"
-  | Some path ->
-    let spec = Fsa_spec.Parser.parse_file path in
-    let apa = Fsa_spec.Elaborate.apa_of_spec spec in
-    let stakeholder = Fsa_requirements.Derive.default_stakeholder in
-    let time f =
-      let t0 = Fsa_obs.Span.now_ns () in
-      let r = f () in
-      (r, Int64.sub (Fsa_obs.Span.now_ns ()) t0)
-    in
-    let legacy, legacy_ns =
-      time (fun () -> Analysis.tool ~shared:false ~stakeholder apa)
-    in
-    let shared, shared_ns =
-      time (fun () -> Analysis.tool ~stakeholder apa)
-    in
-    let report r = Fmt.str "%a" Analysis.pp_tool_report r in
-    let identical = String.equal (report legacy) (report shared) in
-    let speedup =
-      if Int64.compare shared_ns 0L > 0 then
-        Int64.to_float legacy_ns /. Int64.to_float shared_ns
-      else 0.
-    in
-    let alphabet, dfa_states, early =
-      match shared.Analysis.t_timings.Analysis.ph_shared with
-      | Some s ->
-        (s.Analysis.sh_alphabet_size, s.Analysis.sh_dfa_states,
-         s.Analysis.sh_early_pairs)
-      | None -> (0, 0, 0)
-    in
-    let min_speedup = 2.0 in
-    let ok = identical && dfa_states > 0 && speedup >= min_speedup in
-    if not ok then incr failures;
-    Fmt.pr
-      "  %-24s legacy %a  shared %a  speedup %.2fx  quotient %d states  \
-       early %d  identical: %s@."
-      "abstraction/evita-fleet" Fsa_obs.Span.pp_dur legacy_ns
-      Fsa_obs.Span.pp_dur shared_ns speedup dfa_states early
-      (if ok then "OK"
-       else if not identical then "MISMATCH"
-       else if dfa_states = 0 then "NO-ENGINE"
-       else "SLOW");
-    Printf.sprintf
-      "    \"evita-fleet\": {\"legacy_wall_ns\": %Ld, \"shared_wall_ns\": \
-       %Ld, \"speedup\": %.3f, \"min_speedup\": %.2f, \"alphabet\": %d, \
-       \"quotient_states\": %d, \"early_pairs\": %d, \"reports_equal\": \
-       %b, \"ok\": %b}"
-      legacy_ns shared_ns speedup min_speedup alphabet dfa_states early
-      identical ok
-
 (* Report-generation overhead: building the Fsa_report view (sos
    mapping, one shared projection engine for the per-item automata, the
    traceability matrix and both emissions) must stay marginal next to
@@ -1048,84 +937,6 @@ let bench_report () =
       tool_ns report_ns ratio max_ratio
       (List.length r1.R.r_items)
       deterministic ok
-
-(* Flow-pruning overhead and soundness on the fleet spec: building the
-   guard-refined def-use graph and running the pruned dependence matrix
-   must (a) leave the requirements report byte-identical to the
-   unpruned run, (b) actually skip pairs (attributed "static-flow"),
-   and (c) cost at most 5% of the full requirements run — with the same
-   absolute allowance as the report gate, so a cache-warm tool run
-   cannot fail the harness on noise alone. *)
-let bench_flow () =
-  let module Flow = Fsa_flow.Flow in
-  let spec_path =
-    List.find_opt Sys.file_exists
-      [ "examples/specs/evita_fleet.fsa";
-        "../examples/specs/evita_fleet.fsa" ]
-  in
-  match spec_path with
-  | None ->
-    incr failures;
-    Fmt.pr "  %-24s evita_fleet.fsa not found@." "flow/evita-fleet";
-    "    \"evita-fleet\": {\"ok\": false, \"error\": \"spec not found\"}"
-  | Some path ->
-    let spec = Fsa_spec.Parser.parse_file path in
-    let apa = Fsa_spec.Elaborate.apa_of_spec spec in
-    let stakeholder = Fsa_requirements.Derive.default_stakeholder in
-    let time f =
-      let t0 = Fsa_obs.Span.now_ns () in
-      let r = f () in
-      (r, Int64.sub (Fsa_obs.Span.now_ns ()) t0)
-    in
-    let base, base_ns = time (fun () -> Analysis.tool ~stakeholder apa) in
-    let flow, flow_ns =
-      time (fun () ->
-          Flow.build
-            ~attribution:
-              (Fsa_check.Check.flow_attribution
-                 (Fsa_spec.Elaborate.skeleton_of_spec spec))
-            apa)
-    in
-    let pruned_run, pruned_ns =
-      time (fun () -> Analysis.tool ~flow ~stakeholder apa)
-    in
-    let render r = Fmt.str "%a" Analysis.pp_tool_report r in
-    let identical = String.equal (render base) (render pruned_run) in
-    let pruned =
-      List.length
-        (List.filter
-           (fun p ->
-             match p.Analysis.pt_pruned_by with
-             | Some by -> String.equal by "static-flow"
-             | None -> false)
-           pruned_run.Analysis.t_timings.Analysis.ph_pairs)
-    in
-    let ratio =
-      if Int64.compare base_ns 0L > 0 then
-        Int64.to_float flow_ns /. Int64.to_float base_ns
-      else 0.
-    in
-    let max_ratio = 0.05 in
-    let slack_ns = 50_000_000L in
-    let ok =
-      identical && pruned > 0
-      && (ratio <= max_ratio || Int64.compare flow_ns slack_ns <= 0)
-    in
-    if not ok then incr failures;
-    Fmt.pr
-      "  %-24s tool %a  flow %a  pruned tool %a  ratio %.4f  \
-       pairs pruned %d  identical: %s@."
-      "flow/evita-fleet" Fsa_obs.Span.pp_dur base_ns Fsa_obs.Span.pp_dur
-      flow_ns Fsa_obs.Span.pp_dur pruned_ns ratio pruned
-      (if ok then "OK"
-       else if not identical then "MISMATCH"
-       else if pruned = 0 then "NO-PRUNING"
-       else "SLOW");
-    Printf.sprintf
-      "    \"evita-fleet\": {\"tool_wall_ns\": %Ld, \"flow_wall_ns\": %Ld, \
-       \"pruned_tool_wall_ns\": %Ld, \"ratio\": %.5f, \"max_ratio\": %.2f, \
-       \"pairs_pruned\": %d, \"reports_equal\": %b, \"ok\": %b}"
-      base_ns flow_ns pruned_ns ratio max_ratio pruned identical ok
 
 (* Observability overhead on the vanet pairs-4 exploration, three
    configurations interleaved (min-of-N keeps scheduler noise out):
@@ -1285,11 +1096,8 @@ let bench_json path =
           name seq_ns (Lts.nb_states lts) rate p50 p99)
       explorations
   in
-  let struct_rows = bench_struct () in
   let reduction_rows = bench_reduction () in
-  let abstraction_row = bench_abstraction () in
   let report_row = bench_report () in
-  let flow_row = bench_flow () in
   let store_row = bench_store () in
   let obs_row = bench_obs () in
   let meta_row = bench_meta () in
@@ -1304,16 +1112,10 @@ let bench_json path =
       output_string oc "\n  },\n";
       output_string oc "  \"exploration\": {\n";
       output_string oc (String.concat ",\n" exploration_rows);
-      output_string oc "\n  },\n  \"struct\": {\n";
-      output_string oc (String.concat ",\n" struct_rows);
       output_string oc "\n  },\n  \"reduction\": {\n";
       output_string oc (String.concat ",\n" reduction_rows);
-      output_string oc "\n  },\n  \"abstraction\": {\n";
-      output_string oc abstraction_row;
       output_string oc "\n  },\n  \"report\": {\n";
       output_string oc report_row;
-      output_string oc "\n  },\n  \"flow\": {\n";
-      output_string oc flow_row;
       output_string oc "\n  },\n  \"store\": {\n";
       output_string oc store_row;
       output_string oc "\n  },\n  \"obs\": {\n";

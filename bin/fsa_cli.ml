@@ -139,6 +139,7 @@ let elaborate_apa ~file spec =
   Fsa_obs.Span.with_ ~cat:"core" "elaborate" @@ fun () ->
   try Fsa_spec.Elaborate.apa_of_spec spec with
   | Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file loc msg
+  | Invalid_argument msg -> die_usage msg
 
 let explore_progress spec_path =
   Fsa_obs.Progress.stderr_reporter
@@ -150,25 +151,6 @@ let explore_progress spec_path =
 (* --------------------------------------------------------------- *)
 
 module Server = Fsa_server.Server
-
-let prune_arg =
-  Arg.(value & flag
-       & info [ "prune-static" ]
-           ~doc:"Skip the dependence test for action pairs the structural \
-                 pre-analysis proves independent (no token-flow path). \
-                 Sound: the derived requirements are identical to an \
-                 unpruned run.")
-
-let flow_arg =
-  Arg.(value & flag
-       & info [ "prune-flow" ]
-           ~doc:"Skip the dependence test for action pairs the static \
-                 information-flow analysis (taint reachability over the \
-                 guard-refined def-use graph, see $(b,fsa flow)) proves \
-                 independent. Sound: the derived requirements are \
-                 identical to an unpruned run; pairs only this analysis \
-                 prunes are attributed static-flow in the report \
-                 coverage.")
 
 let reduce_conv =
   let parse s =
@@ -190,23 +172,6 @@ let reduce_arg =
                  derived requirement set is identical to an unreduced run; \
                  models with custom action labels fall back to unreduced \
                  exploration. See $(b,fsa sym) for the detected orbits.")
-
-let shared_arg =
-  Arg.(value
-       & vflag true
-           [ ( true,
-               info [ "shared-abstraction" ]
-                 ~doc:"Answer all (minimum, maximum) dependence pairs from \
-                       one shared abstraction of the behaviour (erase once \
-                       to the union alphabet of the surviving pairs, \
-                       minimise, project per pair). This is the default; \
-                       verdicts and requirements are identical to the \
-                       per-pair path." );
-             ( false,
-               info [ "no-shared-abstraction" ]
-                 ~doc:"Escape hatch: recompute the homomorphic image from \
-                       the full reachability graph for every pair (the \
-                       legacy per-pair path)." ) ])
 
 let cache_arg =
   Arg.(value & flag
@@ -240,11 +205,11 @@ let open_store ~cache ~no_cache ~cache_dir =
 (* Run one analysis through the shared executor (cache-aware when the
    config carries a store), mapping analysis-level failures to the CLI's
    exit-code conventions. *)
-let exec_or_die cfg ~op ?meth ?max_states ?prune ?flow ?sos ?keep
-    ?reduce ?shared ?progress ~file spec =
+let exec_or_die cfg ~op ?max_states ?sos ?keep ?reduce ?progress ~file spec
+    =
   match
-    Server.Exec.run cfg ~op ?meth ?max_states ?prune ?flow ?sos ?keep
-      ?reduce ?shared ?progress ~file spec
+    Server.Exec.run cfg ~op ?max_states ?sos ?keep ?reduce ?progress ~file
+      spec
   with
   | outcome -> outcome
   | exception Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file loc msg
@@ -257,11 +222,9 @@ let exec_or_die cfg ~op ?meth ?max_states ?prune ?flow ?sos ?keep
 
 (* As above, and print the human report; on a hit the marker goes to
    stderr so stdout stays byte-identical to a fresh run. *)
-let run_exec cfg ~op ?meth ?max_states ?prune ?flow ?sos ?keep ?reduce
-    ?shared ?progress ~file spec =
+let run_exec cfg ~op ?max_states ?sos ?keep ?reduce ?progress ~file spec =
   let outcome =
-    exec_or_die cfg ~op ?meth ?max_states ?prune ?flow ?sos ?keep
-      ?reduce ?shared ?progress ~file spec
+    exec_or_die cfg ~op ?max_states ?sos ?keep ?reduce ?progress ~file spec
   in
   if outcome.Server.Exec.oc_cached then Fmt.epr "(cached)@.";
   print_string outcome.Server.Exec.oc_output;
@@ -272,8 +235,8 @@ let run_exec cfg ~op ?meth ?max_states ?prune ?flow ?sos ?keep ?reduce
 (* --------------------------------------------------------------- *)
 
 let reach_cmd =
-  let run verbose spec_path max_states flow reduce dot_out cache
-      no_cache cache_dir metrics_out trace_out =
+  let run verbose spec_path max_states reduce dot_out cache no_cache
+      cache_dir metrics_out trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
     let spec = load_spec spec_path in
@@ -301,11 +264,9 @@ let reach_cmd =
       let store = open_store ~cache ~no_cache ~cache_dir in
       let cfg = Server.config ?store () in
       let progress = explore_progress spec_path in
-      (* reach has no dependence matrix, so --prune-flow cannot change
-         anything; accepted for symmetry with requirements *)
       ignore
-        (run_exec cfg ~op:Server.Exec.Reach ~max_states ~flow ?reduce
-           ~progress ~file:spec_path spec)
+        (run_exec cfg ~op:Server.Exec.Reach ~max_states ?reduce ~progress
+           ~file:spec_path spec)
   in
   let max_states =
     Arg.(value & opt int 1_000_000 & info [ "max-states" ] ~doc:"State bound.")
@@ -316,25 +277,13 @@ let reach_cmd =
   in
   Cmd.v
     (Cmd.info "reach" ~doc:"Compute the reachability graph of a specification's APA model.")
-    Term.(const run $ verbose_arg $ spec_arg $ max_states
-          $ flow_arg $ reduce_arg $ dot_out $ cache_arg $ no_cache_arg
-          $ cache_dir_arg $ metrics_out_arg $ trace_out_arg)
+    Term.(const run $ verbose_arg $ spec_arg $ max_states $ reduce_arg
+          $ dot_out $ cache_arg $ no_cache_arg $ cache_dir_arg
+          $ metrics_out_arg $ trace_out_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa requirements                                                 *)
 (* --------------------------------------------------------------- *)
-
-let meth_conv =
-  let parse = function
-    | "direct" -> Ok Analysis.Direct
-    | "abstract" -> Ok Analysis.Abstract
-    | s -> Error (`Msg (Printf.sprintf "unknown method %S (direct|abstract)" s))
-  in
-  let print ppf = function
-    | Analysis.Direct -> Fmt.string ppf "direct"
-    | Analysis.Abstract -> Fmt.string ppf "abstract"
-  in
-  Arg.conv (parse, print)
 
 let out_json_arg =
   Arg.(value & opt (some string) None
@@ -343,8 +292,8 @@ let out_json_arg =
                  temp+rename write); the human report still goes to stdout.")
 
 let requirements_cmd =
-  let run verbose spec_path meth max_states prune flow reduce shared
-      out cache no_cache cache_dir metrics_out trace_out =
+  let run verbose spec_path max_states reduce out cache no_cache cache_dir
+      metrics_out trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
     let spec = load_spec spec_path in
@@ -354,8 +303,8 @@ let requirements_cmd =
     in
     let progress = explore_progress spec_path in
     let outcome =
-      run_exec cfg ~op:Server.Exec.Requirements ~meth ~max_states
-        ~prune ~flow ?reduce ~shared ~progress ~file:spec_path spec
+      run_exec cfg ~op:Server.Exec.Requirements ~max_states ?reduce
+        ~progress ~file:spec_path spec
     in
     Option.iter
       (fun path ->
@@ -363,28 +312,23 @@ let requirements_cmd =
           (Fsa_store.Json.to_string outcome.Server.Exec.oc_result ^ "\n"))
       out
   in
-  let meth =
-    Arg.(value & opt meth_conv Analysis.Abstract
-         & info [ "method" ] ~doc:"Dependence test: direct or abstract.")
-  in
   let max_states =
     Arg.(value & opt int 1_000_000 & info [ "max-states" ] ~doc:"State bound.")
   in
   Cmd.v
     (Cmd.info "requirements"
        ~doc:"Derive authenticity requirements from a specification's APA model (tool path).")
-    Term.(const run $ verbose_arg $ spec_arg $ meth $ max_states
-          $ prune_arg $ flow_arg $ reduce_arg $ shared_arg $ out_json_arg
-          $ cache_arg $ no_cache_arg $ cache_dir_arg $ metrics_out_arg
-          $ trace_out_arg)
+    Term.(const run $ verbose_arg $ spec_arg $ max_states $ reduce_arg
+          $ out_json_arg $ cache_arg $ no_cache_arg $ cache_dir_arg
+          $ metrics_out_arg $ trace_out_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa analyze (manual path over sos declarations)                  *)
 (* --------------------------------------------------------------- *)
 
 let analyze_cmd =
-  let run verbose spec_path sos_name prune flow reduce cache no_cache
-      cache_dir metrics_out trace_out =
+  let run verbose spec_path sos_name reduce cache no_cache cache_dir
+      metrics_out trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
     let spec = load_spec spec_path in
@@ -395,12 +339,11 @@ let analyze_cmd =
     | ds -> List.iter (fun d -> Fmt.epr "%a@." Fsa_check.Diagnostic.pp d) ds);
     let store = open_store ~cache ~no_cache ~cache_dir in
     let cfg = Server.config ?store () in
-    (* the manual path never explores a state space, so pruning and
-       reduction are no-ops here; the flags are accepted for symmetry
-       with requirements *)
+    (* the manual path never explores a state space, so reduction is a
+       no-op here; the flag is accepted for symmetry with requirements *)
     ignore
-      (run_exec cfg ~op:Server.Exec.Analyze ?sos:sos_name ~prune ~flow
-         ?reduce ~file:spec_path spec)
+      (run_exec cfg ~op:Server.Exec.Analyze ?sos:sos_name ?reduce
+         ~file:spec_path spec)
   in
   let sos_name =
     Arg.(value & opt (some string) None
@@ -409,9 +352,9 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Derive authenticity requirements from functional models (manual path).")
-    Term.(const run $ verbose_arg $ spec_arg $ sos_name $ prune_arg
-          $ flow_arg $ reduce_arg $ cache_arg $ no_cache_arg $ cache_dir_arg
-          $ metrics_out_arg $ trace_out_arg)
+    Term.(const run $ verbose_arg $ spec_arg $ sos_name $ reduce_arg
+          $ cache_arg $ no_cache_arg $ cache_dir_arg $ metrics_out_arg
+          $ trace_out_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa abstract                                                     *)
@@ -422,10 +365,7 @@ let abstract_cmd =
       cache_dir =
     setup_logs verbose;
     let spec = load_spec spec_path in
-    let apa =
-      try Fsa_spec.Elaborate.apa_of_spec spec with
-      | Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file:spec_path loc msg
-    in
+    let apa = elaborate_apa ~file:spec_path spec in
     let rename_pairs =
       List.map
         (fun kv ->
@@ -685,10 +625,7 @@ let simulate_cmd =
   let run verbose spec_path seed monitor =
     setup_logs verbose;
     let spec = load_spec spec_path in
-    let apa =
-      try Fsa_spec.Elaborate.apa_of_spec spec with
-      | Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file:spec_path loc msg
-    in
+    let apa = elaborate_apa ~file:spec_path spec in
     let sim = Fsa_sim.Sim.create ~seed apa in
     if monitor then begin
       let report =
@@ -1056,7 +993,7 @@ let flow_cmd =
              confidentiality leaks from protected components, \
              unsanitized cross-instance flows, dead attack surface, \
              unguarded flow cycles and the flow-independent action \
-             pairs behind $(b,--prune-flow).")
+             pairs.")
     Term.(const run $ verbose_arg $ spec_arg $ format_arg $ metrics_out_arg
           $ trace_out_arg)
 
@@ -1065,16 +1002,13 @@ let flow_cmd =
 (* --------------------------------------------------------------- *)
 
 let verify_cmd =
-  let run verbose spec_path flow reduce cache no_cache cache_dir =
+  let run verbose spec_path reduce cache no_cache cache_dir =
     setup_logs verbose;
     let spec = load_spec spec_path in
     let store = open_store ~cache ~no_cache ~cache_dir in
     let cfg = Server.config ?store () in
-    (* verify has no dependence matrix either; the flag is accepted for
-       symmetry with requirements *)
     let outcome =
-      run_exec cfg ~op:Server.Exec.Verify ~flow ?reduce
-        ~file:spec_path spec
+      run_exec cfg ~op:Server.Exec.Verify ?reduce ~file:spec_path spec
     in
     if outcome.Server.Exec.oc_exit <> 0 then begin
       (match Fsa_store.Json.member "failed" outcome.Server.Exec.oc_result with
@@ -1089,8 +1023,8 @@ let verify_cmd =
        ~doc:"Evaluate a specification's check declarations against its \
              behaviour (explores the state space; see $(b,check) for the \
              static analysis).")
-    Term.(const run $ verbose_arg $ spec_arg $ flow_arg
-          $ reduce_arg $ cache_arg $ no_cache_arg $ cache_dir_arg)
+    Term.(const run $ verbose_arg $ spec_arg $ reduce_arg $ cache_arg
+          $ no_cache_arg $ cache_dir_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa monitor                                                      *)
@@ -1100,10 +1034,7 @@ let monitor_cmd =
   let run verbose spec_path trace_path =
     setup_logs verbose;
     let spec = load_spec spec_path in
-    let apa =
-      try Fsa_spec.Elaborate.apa_of_spec spec with
-      | Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file:spec_path loc msg
-    in
+    let apa = elaborate_apa ~file:spec_path spec in
     let report =
       Analysis.tool ~stakeholder:Fsa_vanet.Vehicle_apa.stakeholder apa
     in
@@ -1146,8 +1077,8 @@ let monitor_cmd =
 (* --------------------------------------------------------------- *)
 
 let report_cmd =
-  let run verbose spec_path format sos_name out meth max_states prune
-      flow reduce shared cache no_cache cache_dir metrics_out trace_out =
+  let run verbose spec_path format sos_name out max_states reduce cache
+      no_cache cache_dir metrics_out trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
     let spec = load_spec spec_path in
@@ -1157,8 +1088,8 @@ let report_cmd =
     in
     let progress = explore_progress spec_path in
     let outcome =
-      exec_or_die cfg ~op:Server.Exec.Report ~meth ~max_states ~prune
-        ~flow ?sos:sos_name ?reduce ~shared ~progress ~file:spec_path spec
+      exec_or_die cfg ~op:Server.Exec.Report ~max_states ?sos:sos_name
+        ?reduce ~progress ~file:spec_path spec
     in
     if outcome.Server.Exec.oc_cached then Fmt.epr "(cached)@.";
     let content =
@@ -1187,10 +1118,6 @@ let report_cmd =
              ~doc:"Output file (atomic temp+rename write; stdout by \
                    default).")
   in
-  let meth =
-    Arg.(value & opt meth_conv Analysis.Abstract
-         & info [ "method" ] ~doc:"Dependence test: direct or abstract.")
-  in
   let max_states =
     Arg.(value & opt int 1_000_000 & info [ "max-states" ] ~doc:"State bound.")
   in
@@ -1200,8 +1127,7 @@ let report_cmd =
              provenance, traceability matrix, coverage and verification \
              tags (deterministic Markdown or JSON).")
     Term.(const run $ verbose_arg $ spec_arg $ format $ sos_name $ out
-          $ meth $ max_states $ prune_arg $ flow_arg
-          $ reduce_arg $ shared_arg $ cache_arg $ no_cache_arg
+          $ max_states $ reduce_arg $ cache_arg $ no_cache_arg
           $ cache_dir_arg $ metrics_out_arg $ trace_out_arg)
 
 (* --------------------------------------------------------------- *)
@@ -1291,8 +1217,8 @@ let diff_cmd =
 let op_names = "reach|requirements|analyze|abstract|verify|check|report"
 
 let serve_cmd =
-  let run verbose socket workers timeout_ms max_states prune no_cache
-      cache_dir flight_dir slow_ms metrics_out trace_out =
+  let run verbose socket workers timeout_ms max_states no_cache cache_dir
+      flight_dir slow_ms metrics_out trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
     (* a daemon always collects metrics, whether or not it dumps them on
@@ -1301,8 +1227,8 @@ let serve_cmd =
     (* the daemon caches by default; --no-cache switches it off *)
     let store = open_store ~cache:true ~no_cache ~cache_dir in
     let cfg =
-      Server.config ~workers ~max_states ~timeout_ms ?store ~prune
-        ?flight_dir ~slow_ms
+      Server.config ~workers ~max_states ~timeout_ms ?store ?flight_dir
+        ~slow_ms
         ~stakeholder:Fsa_vanet.Vehicle_apa.stakeholder ()
     in
     let stop _ = Server.request_shutdown () in
@@ -1352,15 +1278,15 @@ let serve_cmd =
              Unix-domain socket.  SIGTERM drains in-flight requests and \
              exits.  $(b,fsa stats) queries a running daemon.")
     Term.(const run $ verbose_arg $ socket $ workers $ timeout_ms
-          $ max_states $ prune_arg $ no_cache_arg $ cache_dir_arg
-          $ flight_dir $ slow_ms $ metrics_out_arg $ trace_out_arg)
+          $ max_states $ no_cache_arg $ cache_dir_arg $ flight_dir
+          $ slow_ms $ metrics_out_arg $ trace_out_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa batch                                                        *)
 (* --------------------------------------------------------------- *)
 
 let batch_cmd =
-  let run verbose op_name jobs max_states timeout_ms prune no_cache cache_dir
+  let run verbose op_name jobs max_states timeout_ms no_cache cache_dir
       metrics_out trace_out spec_paths =
     setup_logs verbose;
     (* resolve the op before entering [with_obs], and exit after leaving
@@ -1377,7 +1303,7 @@ let batch_cmd =
       (* batch runs cache by default; --no-cache switches it off *)
       let store = open_store ~cache:true ~no_cache ~cache_dir in
       let cfg =
-        Server.config ~max_states ~timeout_ms ?store ~prune
+        Server.config ~max_states ~timeout_ms ?store
           ~stakeholder:Fsa_vanet.Vehicle_apa.stakeholder ()
       in
       Server.Batch.run cfg ~op ~jobs spec_paths
@@ -1415,8 +1341,8 @@ let batch_cmd =
              cache-aware; prints one JSON result line per file, in input \
              order.")
     Term.(const run $ verbose_arg $ op_name $ jobs $ max_states
-          $ timeout_ms $ prune_arg $ no_cache_arg $ cache_dir_arg
-          $ metrics_out_arg $ trace_out_arg $ specs_arg)
+          $ timeout_ms $ no_cache_arg $ cache_dir_arg $ metrics_out_arg
+          $ trace_out_arg $ specs_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa stats (live daemon introspection)                            *)

@@ -472,8 +472,8 @@ let pass_deep ?file ?budget sk add =
       add
         (D.info ?file ~code:"FSA046"
            "%d of %d ordered rule pairs have no token flow between them: \
-            their functional dependence tests are skipped under \
-            --prune-static"
+            their functional dependence tests are negative by \
+            construction"
            r.Structural.r_independent_pairs r.Structural.r_rule_pairs);
     List.iter
       (fun t ->
@@ -682,7 +682,7 @@ let pass_flow ?file sk ast add =
         (D.info ?file ~code:"FSA065"
            "%d of %d ordered rule pairs are flow-independent (%d already \
             at skeleton level): their functional dependence tests are \
-            skipped under --prune-flow"
+            negative by construction"
            independent (Flow.rule_pairs g)
            (Flow.skeleton_independent_pairs g))
 

@@ -35,7 +35,7 @@
       from protected components into cross-instance channels (FSA060, a
       warning), plus advisory guard-free boundary crossings, dead attack
       surface, unguarded flow cycles, guard-killed edges and the
-      flow-independence count behind [--prune-flow].
+      count of flow-independent rule pairs.
 
     The producible-shape fixpoint over-approximates reachability (guards
     are ignored and matched terms are never removed), so a rule it calls

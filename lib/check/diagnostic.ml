@@ -131,7 +131,7 @@ let registry =
       initially marked trap");
     ("FSA046", Info,
      "statically independent rule pairs: no token flow connects them, so \
-      their dependence tests can be skipped under --prune-static");
+      their functional dependence tests are negative by construction");
     ("FSA047", Info,
      "initially marked trap: these components can never all drain");
     ("FSA048", Info,
@@ -176,8 +176,8 @@ let registry =
      "guard-killed flow edges: statically decided guards sever token \
       flows the net skeleton admits");
     ("FSA065", Info,
-     "flow-independent action pairs beyond the skeleton baseline; \
-      --prune-flow skips their dependence tests") ]
+     "flow-independent action pairs beyond the skeleton baseline: their \
+      functional dependence tests are negative by construction") ]
 
 let describe code =
   List.find_map

@@ -8,9 +8,9 @@
      -> restriction chi to (minima x maxima) -> auth(x, y, stakeholder(y));
 
    - the *tool* path (Sect. 5): APA model -> reachability graph ->
-     minima/maxima identification -> per-pair functional dependence test
-     (directly on the graph, or by abstraction with an alphabetic
-     homomorphism and inspection of the minimal automaton).
+     minima/maxima identification -> functional dependence test of each
+     (min, max) pair by abstraction with an alphabetic homomorphism and
+     inspection of the minimal automaton.
 
    Both paths are implemented and can be cross-validated against each
    other via a label correspondence. *)
@@ -83,20 +83,16 @@ let pp_manual_report ppf r =
 (* Tool path                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type dependence_method =
-  | Direct  (* BFS on the reachability graph *)
-  | Abstract  (* homomorphism + minimal automaton, as in Sect. 5.5 *)
-
-(* Wall-clock breakdown of one (min, max) dependence test.  For the
-   Direct method the whole BFS is accounted to the compare phase; the
-   erase/determinise/minimise stages exist only under Abstract. *)
+(* Wall-clock breakdown of one (min, max) dependence test.  The shared
+   engine does the erase/determinise/minimise work once for all pairs
+   (see [shared_timing]), so only the compare stage is per pair. *)
 type pair_timing = {
   pt_min : Action.t;
   pt_max : Action.t;
   pt_pruned : bool;
   pt_pruned_by : string option;
-      (* ["static"] (skeleton reachability) or ["static-flow"]
-         (guard-refined flow graph); [None] when tested *)
+      (* ["static"] (skeleton reachability, under an ample-set
+         reduction); [None] when tested *)
   pt_erase_ns : int64;
   pt_determinise_ns : int64;
   pt_minimise_ns : int64;
@@ -160,43 +156,24 @@ type quotient_cache = {
   qc_store : alphabet:Action.t list -> Hom.A.Dfa.t -> unit;
 }
 
-let dependence ~meth lts ~min_action ~max_action =
-  match meth with
-  | Direct -> Lts.depends_on lts ~max_action ~min_action
-  | Abstract -> Hom.depends_abstract lts ~min_action ~max_action
-
-let dependence_timed ~meth lts ~min_action ~max_action =
-  match meth with
-  | Direct ->
-    let t0 = Span.now_ns () in
-    let dep = Lts.depends_on lts ~max_action ~min_action in
-    let t1 = Span.now_ns () in
-    ( dep,
-      { Hom.dt_erase_ns = 0L;
-        dt_determinise_ns = 0L;
-        dt_minimise_ns = 0L;
-        dt_compare_ns = Int64.sub t1 t0 } )
-  | Abstract -> Hom.depends_abstract_timed lts ~min_action ~max_action
-
-module Structural = Fsa_struct.Structural
 module Sym = Fsa_sym.Sym
 module Apa = Fsa_apa.Apa
 
-(* Static dependence pruning.  [prune mn mx] answers [true] only when it
-   is sound to skip the dependence test and record "independent": the
-   LTS must be labelled by rule names (the default labelling — an action
-   with an actor, arguments or a label outside the rule names disables
-   pruning for the whole run), and the token-flow graph of the net
-   skeleton must admit no path from [mn]'s rule to [mx]'s rule.  Then no
-   firing of [mx] can consume or read (transitively) anything [mn]
-   produced: deleting [mn]'s firings and their downward flow closure
-   from any run leaves a valid run still containing [mx], so the
-   functional dependence test is negative by construction and pruning
-   cannot change the result.
+(* Static dependence pruning, forced on by an ample-set reduction (see
+   [tool]).  [prune mn mx] answers [true] only when it is sound to skip
+   the dependence test and record "independent": the LTS must be
+   labelled by rule names (the default labelling — an action with an
+   actor, arguments or a label outside the rule names disables pruning
+   for the whole run), and the token-flow graph of the net skeleton must
+   admit no path from [mn]'s rule to [mx]'s rule.  Then no firing of
+   [mx] can consume or read (transitively) anything [mn] produced:
+   deleting [mn]'s firings and their downward flow closure from any run
+   leaves a valid run still containing [mx], so the functional
+   dependence test is negative by construction and pruning cannot
+   change the result.
 
-   [indep] shares a flow-independence matrix already built for the spec
-   (a reduction plan carries one for its ample-set modules) instead of
-   recomputing it here. *)
+   [indep] is the flow-independence matrix the reduction plan already
+   built for its ample-set modules. *)
 let default_labelled_rules apa =
   List.for_all (fun r -> r.Apa.r_default_label) (Apa.rules apa)
 
@@ -209,34 +186,14 @@ let rule_name_labelled apa lts =
          && List.mem (Action.label a) rule_names)
        (Lts.alphabet lts)
 
-let static_pruner ?indep apa lts =
+let static_pruner ~indep apa lts =
   if not (rule_name_labelled apa lts) then fun _ _ -> false
   else
-    let indep =
-      match indep with
-      | Some indep -> indep
-      | None -> Structural.independent_all (Structural.of_apa apa)
-    in
     fun mn mx ->
       not (Action.equal mn mx)
       && Lazy.force indep (Action.label mn) (Action.label mx)
 
-let c_pairs_pruned = Structural.pairs_pruned
-
-module Flow = Fsa_flow.Flow
-
-(* Flow pruning ([--prune-flow]): the same soundness shape as
-   {!static_pruner} — rule-name labelling required, reachability over a
-   token-flow graph — but the graph is the guard-refined one of
-   {!Fsa_flow.Flow}, a subgraph of the skeleton's, so it can only prune
-   more pairs, never fewer, and the argument carries over verbatim
-   (see the soundness note in [lib/flow/flow.mli]). *)
-let flow_pruner flow apa lts =
-  if not (rule_name_labelled apa lts) then fun _ _ -> false
-  else
-    fun mn mx ->
-      (not (Action.equal mn mx))
-      && Flow.independent flow ~min:(Action.label mn) ~max:(Action.label mx)
+let c_pairs_pruned = Fsa_struct.Structural.pairs_pruned
 
 (* ------------------------------------------------------------------ *)
 (* Reduced exploration (--reduce)                                      *)
@@ -392,8 +349,8 @@ let unfolded ?(max_states = 1_000_000) pl apa =
   in
   (Lts.of_graph ~name:(Apa.name apa) ~states edges, reps, rep_transitions)
 
-let tool ?(meth = Abstract) ?(max_states = 1_000_000) ?(prune = false) ?flow
-    ?reduce ?(shared = true) ?quotient_cache ?progress ~stakeholder apa =
+let tool ?(max_states = 1_000_000) ?reduce ?quotient_cache ?progress
+    ~stakeholder apa =
   Span.with_ ~cat:"core" "tool" @@ fun () ->
   let timed f =
     let t0 = Span.now_ns () in
@@ -433,7 +390,7 @@ let tool ?(meth = Abstract) ?(max_states = 1_000_000) ?(prune = false) ?flow
   in
   (* An active ample-set reduction drops interleavings of rules from
      different interference modules, with two consequences downstream:
-     maxima are recovered module-locally ({!por_maxima}), and the direct
+     maxima are recovered module-locally ({!por_maxima}), and the
      dependence test on the reduced graph could spuriously report
      cross-module pairs as dependent, so static pruning is forced on —
      flow-independent pairs are settled by the (sound) structural
@@ -457,53 +414,37 @@ let tool ?(meth = Abstract) ?(max_states = 1_000_000) ?(prune = false) ?flow
         in
         (Action.Set.elements (Lts.minima lts), Action.Set.elements maxima))
   in
-  let struct_pruned =
-    if prune || por_active then
-      static_pruner
-        ?indep:(Option.map (fun pl -> pl.Sym.pl_indep) eff_reduce)
-        apa lts
-    else fun _ _ -> false
+  let pruned =
+    match eff_reduce with
+    | Some pl when por_active -> static_pruner ~indep:pl.Sym.pl_indep apa lts
+    | _ -> fun _ _ -> false
   in
-  let flow_pruned =
-    match flow with
-    | Some g -> flow_pruner g apa lts
-    | None -> fun _ _ -> false
-  in
-  (* Attribution order matters only for reporting: a pair both pruners
-     decide is credited to the cheaper skeleton argument. *)
-  let pruned_by mn mx =
-    if struct_pruned mn mx then Some "static"
-    else if flow_pruned mn mx then Some "static-flow"
-    else None
-  in
-  let pruned mn mx = pruned_by mn mx <> None in
   let pair_timings = ref [] in
-  let engine = ref None in
-  let matrix, ph_matrix_ns =
+  let (matrix, engine), ph_matrix_ns =
     timed @@ fun () ->
     Span.with_ ~cat:"core" "tool.dependence_matrix" @@ fun () ->
-    (* Shared multi-pair engine (Abstract only): erase once to the
-       union alphabet of all surviving pairs, determinise/minimise the
-       shared image, then answer every pair from it.  Statically pruned
-       pairs contribute nothing to the alphabet — their verdict never
-       touches the automaton. *)
-    (match meth with
-    | Abstract when shared ->
-      let surviving_minima =
-        List.filter
-          (fun mn -> List.exists (fun mx -> not (pruned mn mx)) maxima)
-          minima
-      and surviving_maxima =
-        List.filter
-          (fun mx -> List.exists (fun mn -> not (pruned mn mx)) minima)
-          maxima
-      in
-      let alphabet =
-        Action.Set.union
-          (Action.Set.of_list surviving_minima)
-          (Action.Set.of_list surviving_maxima)
-      in
-      if not (Action.Set.is_empty alphabet) then begin
+    (* The shared engine: erase once to the union alphabet of all
+       surviving pairs, determinise/minimise the shared image, then
+       answer every pair from it.  Statically pruned pairs contribute
+       nothing to the alphabet — their verdict never touches the
+       automaton. *)
+    let surviving_minima =
+      List.filter
+        (fun mn -> List.exists (fun mx -> not (pruned mn mx)) maxima)
+        minima
+    and surviving_maxima =
+      List.filter
+        (fun mx -> List.exists (fun mn -> not (pruned mn mx)) minima)
+        maxima
+    in
+    let alphabet =
+      Action.Set.union
+        (Action.Set.of_list surviving_minima)
+        (Action.Set.of_list surviving_maxima)
+    in
+    let engine =
+      if Action.Set.is_empty alphabet then None
+      else begin
         let alist = Action.Set.elements alphabet in
         let dfa =
           Option.bind quotient_cache (fun qc -> qc.qc_find ~alphabet:alist)
@@ -516,51 +457,49 @@ let tool ?(meth = Abstract) ?(max_states = 1_000_000) ?(prune = false) ?flow
         | Some qc when not (Hom.Shared.cached e) ->
           qc.qc_store ~alphabet:alist (Hom.Shared.dfa e)
         | _ -> ());
-        engine := Some e
+        Some e
       end
-    | _ -> ());
-    List.map
-      (fun mx ->
-        (mx,
-         List.map
-           (fun mn ->
-             match pruned_by mn mx with
-             | Some by ->
-               (if String.equal by "static-flow" then
-                  Fsa_obs.Metrics.incr Flow.pairs_pruned
-                else Fsa_obs.Metrics.incr c_pairs_pruned);
-               pair_timings :=
-                 { pt_min = mn;
-                   pt_max = mx;
-                   pt_pruned = true;
-                   pt_pruned_by = Some by;
-                   pt_erase_ns = 0L;
-                   pt_determinise_ns = 0L;
-                   pt_minimise_ns = 0L;
-                   pt_compare_ns = 0L }
-                 :: !pair_timings;
-               (mn, false)
-             | None ->
-               let dep, dt =
-                 match !engine with
-                 | Some e ->
-                   Hom.Shared.depends_timed e ~min_action:mn ~max_action:mx
-                 | None ->
-                   dependence_timed ~meth lts ~min_action:mn ~max_action:mx
-               in
-               pair_timings :=
-                 { pt_min = mn;
-                   pt_max = mx;
-                   pt_pruned = false;
-                   pt_pruned_by = None;
-                   pt_erase_ns = dt.Hom.dt_erase_ns;
-                   pt_determinise_ns = dt.Hom.dt_determinise_ns;
-                   pt_minimise_ns = dt.Hom.dt_minimise_ns;
-                   pt_compare_ns = dt.Hom.dt_compare_ns }
-                 :: !pair_timings;
-               (mn, dep))
-           minima))
-      maxima
+    in
+    let verdict mn mx =
+      if pruned mn mx then begin
+        Fsa_obs.Metrics.incr c_pairs_pruned;
+        ( false,
+          Some "static",
+          { Hom.dt_erase_ns = 0L;
+            dt_determinise_ns = 0L;
+            dt_minimise_ns = 0L;
+            dt_compare_ns = 0L } )
+      end
+      else
+        (* a tested pair lies in the alphabet, so the engine exists *)
+        let dep, dt =
+          Hom.Shared.depends_timed (Option.get engine) ~min_action:mn
+            ~max_action:mx
+        in
+        (dep, None, dt)
+    in
+    let matrix =
+      List.map
+        (fun mx ->
+          ( mx,
+            List.map
+              (fun mn ->
+                let dep, by, dt = verdict mn mx in
+                pair_timings :=
+                  { pt_min = mn;
+                    pt_max = mx;
+                    pt_pruned = by <> None;
+                    pt_pruned_by = by;
+                    pt_erase_ns = dt.Hom.dt_erase_ns;
+                    pt_determinise_ns = dt.Hom.dt_determinise_ns;
+                    pt_minimise_ns = dt.Hom.dt_minimise_ns;
+                    pt_compare_ns = dt.Hom.dt_compare_ns }
+                  :: !pair_timings;
+                (mn, dep))
+              minima ))
+        maxima
+    in
+    (matrix, engine)
   in
   let requirements, ph_derive_ns =
     timed @@ fun () ->
@@ -622,9 +561,9 @@ let tool ?(meth = Abstract) ?(max_states = 1_000_000) ?(prune = false) ?flow
                 sh_determinise_ns = bt.Hom.Shared.sb_determinise_ns;
                 sh_minimise_ns = bt.Hom.Shared.sb_minimise_ns;
                 sh_early_ns = bt.Hom.Shared.sb_early_ns })
-            !engine };
+            engine };
     t_reduction;
-    t_engine = !engine }
+    t_engine = engine }
 
 let matrix_pairs r =
   List.concat_map

@@ -30,27 +30,22 @@ val pp_manual_report : manual_report Fmt.t
 
 (** {1 Tool path} *)
 
-type dependence_method =
-  | Direct  (** BFS on the reachability graph *)
-  | Abstract  (** homomorphism + minimal automaton (Sect. 5.5) *)
-
 type pair_timing = {
   pt_min : Action.t;
   pt_max : Action.t;
   pt_pruned : bool;  (** skipped by static pruning, all stages 0 *)
   pt_pruned_by : string option;
-      (** which static argument settled the pair: ["static"] (skeleton
-          token reachability, [?prune]) or ["static-flow"] (the
-          guard-refined flow graph, [?flow]); [None] when tested *)
+      (** ["static"] when skeleton token reachability settled the pair
+          (forced on by an ample-set reduction); [None] when tested *)
   pt_erase_ns : int64;
   pt_determinise_ns : int64;
   pt_minimise_ns : int64;
   pt_compare_ns : int64;
 }
 (** Wall-clock breakdown of one (min, max) dependence test, in matrix
-    order.  The erase/determinise/minimise stages are populated by the
-    [Abstract] method; under [Direct] the whole BFS is accounted to
-    [pt_compare_ns]. *)
+    order.  The shared engine erases, determinises and minimises once
+    for all pairs ({!shared_timing}), so the per-pair erase, determinise
+    and minimise stages are 0 and only [pt_compare_ns] is per pair. *)
 
 type shared_timing = {
   sh_alphabet_size : int;  (** union alphabet of the surviving pairs *)
@@ -63,11 +58,7 @@ type shared_timing = {
   sh_minimise_ns : int64;
   sh_early_ns : int64;
 }
-(** One-off cost and shape of the shared abstraction engine's build —
-    the work the per-pair [pt_erase_ns]/[pt_determinise_ns]/
-    [pt_minimise_ns] columns no longer contain when the shared path
-    answered the pairs (they are 0 there; only [pt_compare_ns] remains
-    genuinely per-pair). *)
+(** One-off cost and shape of the shared abstraction engine's build. *)
 
 type phase_timings = {
   ph_explore_ns : int64;
@@ -76,7 +67,7 @@ type phase_timings = {
   ph_derive_ns : int64;
   ph_pairs : pair_timing list;
   ph_shared : shared_timing option;
-      (** [Some] iff the shared engine answered this run's pairs *)
+      (** [Some] iff some pair was tested (not every pair pruned) *)
 }
 (** Per-phase durations of one {!tool} run.  Always collected — the
     clock readings are negligible against the phases they measure — so
@@ -109,21 +100,14 @@ type tool_report = {
   t_reduction : reduction_info option;  (** [Some] iff [?reduce] given *)
   t_engine : Fsa_hom.Hom.Shared.engine option;
       (** the shared multi-pair engine that answered the dependence
-          queries, when one was built ([Abstract] method with [?shared]);
-          downstream layers reuse it to project per-pair minimal
-          automata without re-walking the graph *)
+          queries, when some pair was tested; downstream layers reuse it
+          to project per-pair minimal automata without re-walking the
+          graph *)
 }
 
 val matrix_pairs : tool_report -> (Action.t * Action.t * bool) list
 (** The dependence matrix flattened to [(min, max, dependent)] triples,
     in matrix (row-major) order. *)
-
-val dependence :
-  meth:dependence_method ->
-  Lts.t ->
-  min_action:Action.t ->
-  max_action:Action.t ->
-  bool
 
 type quotient_cache = {
   qc_find : alphabet:Action.t list -> Fsa_hom.Hom.A.Dfa.t option;
@@ -133,8 +117,8 @@ type quotient_cache = {
     shared abstraction engine.  The store lives above this library, so
     the analysis takes the cache as callbacks; implementations must key
     entries on the spec digest {e and} the erased-alphabet digest {e
-    and} an engine version, so per-pair-era entries never replay as
-    shared-pass results. *)
+    and} an engine version, so entries of another engine generation
+    never replay. *)
 
 val quotient :
   ?max_states:int ->
@@ -171,64 +155,48 @@ val unfolded :
     @raise Lts.State_space_too_large beyond the representative budget. *)
 
 val tool :
-  ?meth:dependence_method ->
   ?max_states:int ->
-  ?prune:bool ->
-  ?flow:Fsa_flow.Flow.t ->
   ?reduce:Fsa_sym.Sym.plan ->
-  ?shared:bool ->
   ?quotient_cache:quotient_cache ->
   ?progress:Fsa_obs.Progress.t ->
   stakeholder:(Action.t -> Agent.t) ->
   Fsa_apa.Apa.t ->
   tool_report
-(** With observability enabled ({!Fsa_obs.Metrics.set_enabled}), each
+(** The tool path: explore, identify minima and maxima, and decide
+    every (min, max) pair by the method of Sect. 5.5 through one shared
+    abstraction ({!Fsa_hom.Hom.Shared}): erase once to the union
+    alphabet of the pairs' actions, determinise and minimise that shared
+    image, then decide each pair on the shared automaton (and, on the
+    fly, during the single pass over the graph where the independent
+    verdict is already witnessed).  Verdicts and per-pair minimal
+    automata equal those of the per-pair test
+    {!Fsa_hom.Hom.depends_abstract} — [preserve {min, max}] factors
+    through [preserve union] and minimal DFAs are unique up to
+    isomorphism — and of the direct test {!Lts.depends_on}; the test
+    suite checks both on every bundled example.
+
+    With observability enabled ({!Fsa_obs.Metrics.set_enabled}), each
     pipeline phase runs inside its own span ([tool.explore],
     [tool.min_max], [tool.dependence_matrix], [tool.derive]);
     [progress] is threaded through the state-space exploration.
 
-    [prune] (default [false]) skips the dependence test for (min, max)
-    pairs {!Fsa_struct.Structural} proves statically independent (no
-    token-flow path from the min's rule to the max's rule), recording
-    them as independent directly and counting each skip in the
-    [struct.pairs_pruned] metric.  The pruning is sound — a pair with no
-    token flow can never test dependent — and it is automatically
-    disabled when the LTS is not labelled by plain rule names, so the
-    report (matrix included) is identical with and without it.
-
-    [flow] supplies a {!Fsa_flow.Flow} graph of the same model and
-    additionally skips every pair that graph proves flow-independent
-    ([--prune-flow]).  The refined graph is a subgraph of the skeleton's
-    (guards can only sever edges), so the same soundness argument
-    applies and the report stays identical; pairs the skeleton argument
-    does not already settle are attributed ["static-flow"] in
-    {!pair_timing.pt_pruned_by} and counted in the [flow.pairs_pruned]
-    metric.  The same rule-name labelling gate applies.
-
-    [shared] (default [true], effective only under [Abstract]) answers
-    all surviving (min, max) pairs from one shared abstraction: erase
-    once to the union alphabet of their actions, determinise/minimise
-    that shared image, then decide each pair on the shared automaton
-    (and, on-the-fly, during the single pass over the graph where the
-    independent verdict is already witnessed).  Verdicts, requirement
-    reports and per-pair minimal automata are identical to the per-pair
-    path — [preserve {min, max}] factors through [preserve union] and
-    minimal DFAs are unique up to isomorphism.  [quotient_cache] lets
-    the caller persist/reuse the shared quotient across runs (see
-    {!quotient_cache}); a cache hit skips the erase/determinise/minimise
-    and early-decision work entirely.
+    [quotient_cache] lets the caller persist/reuse the shared quotient
+    across runs (see {!quotient_cache}); a cache hit skips the
+    erase/determinise/minimise and early-decision work entirely.
 
     [reduce] applies a {!Fsa_sym.Sym.plan}.  A symmetry component is
     applied as quotient-then-{!unfolded}, so the derived requirements
     are identical to the unreduced run's while rule matching is confined
-    to orbit representatives; an ample-set component restricts the
-    explored interleavings and forces static pruning on (see
-    {!reduction_info} and DESIGN.md §13 for the soundness argument).
-    Models without the default rule-name labelling fall back to
-    unreduced exploration, recorded in [ri_fallback].
-    The soundness gate: on every model completing un-reduced, the
-    reduced run must produce the identical requirement set — the test
-    suite enforces this across the bundled examples. *)
+    to orbit representatives.  An ample-set component restricts the
+    explored interleavings; pairs the net skeleton proves
+    flow-independent are then settled without a test (counted in the
+    [struct.pairs_pruned] metric), because the reduced graph could
+    report them dependent (see {!reduction_info} and DESIGN.md §13 for
+    the soundness argument).  Models without the default rule-name
+    labelling fall back to unreduced exploration, recorded in
+    [ri_fallback].  The soundness gate: on every model completing
+    un-reduced, the reduced run must produce the identical requirement
+    set — the test suite enforces this across the bundled examples. *)
 
 val pp_tool_report : tool_report Fmt.t
 

@@ -18,14 +18,12 @@ val out_component : Action.t -> string
 val compile : ?name:string -> Sos.t -> Apa.t
 
 val tool_analysis :
-  ?meth:Analysis.dependence_method ->
   ?max_states:int ->
   ?stakeholder:(Action.t -> Fsa_term.Agent.t) ->
   Sos.t ->
   Analysis.tool_report
 
 val crosscheck :
-  ?meth:Analysis.dependence_method ->
   ?max_states:int ->
   ?stakeholder:(Action.t -> Fsa_term.Agent.t) ->
   Sos.t ->

@@ -12,8 +12,6 @@ module Apa = Fsa_apa.Apa
 module Span = Fsa_obs.Span
 module Metrics = Fsa_obs.Metrics
 
-let pairs_pruned = Metrics.counter "flow.pairs_pruned"
-
 type attribution = {
   at_instance : string -> string option;
   at_guard_vars : string -> string list option;

@@ -26,8 +26,8 @@
       firings and their downward flow closure from any run leaves a
       valid run still containing [max], so the dependence test is
       negative by construction.  The refined graph is a subgraph of the
-      skeleton's, so everything the skeleton prunes is pruned here too
-      ([--prune-flow] subsumes [--prune-static]);
+      skeleton's, so every pair independent at skeleton level is
+      independent here too;
     - on top of the graph, the analyses behind the FSA060–FSA069
       diagnostics: protected components flowing into cross-instance
       channels (confidentiality leaks), cross-instance edges whose
@@ -148,7 +148,7 @@ val independent_pairs : t -> int
 
 val skeleton_independent_pairs : t -> int
 (** The same count over the unrefined skeleton graph (kills ignored) —
-    the [--prune-static] baseline, for reporting the refinement gain. *)
+    the baseline for reporting the refinement gain. *)
 
 val rule_pairs : t -> int
 (** All ordered rule pairs, [n * (n - 1)]. *)
@@ -183,10 +183,6 @@ val unguarded_cycles : t -> string list list
     is unguarded: unchecked feedback loops.  Each cycle is its sorted
     rule list; the list of cycles is sorted. *)
 
-val pairs_pruned : Fsa_obs.Metrics.counter
-(** The process-wide [flow.pairs_pruned] counter, incremented by
-    {!Fsa_core.Analysis} for every (min, max) pair skipped by flow
-    pruning (and not already by the structural pruner). *)
 
 (** {1 Report} *)
 

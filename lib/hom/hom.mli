@@ -69,16 +69,8 @@ type dependence_timing = {
   dt_minimise_ns : int64;
   dt_compare_ns : int64;  (** the target-before-avoid search *)
 }
-(** Wall-clock breakdown of one abstraction-based dependence test. *)
-
-val depends_abstract_timed :
-  Lts.t ->
-  min_action:Action.t ->
-  max_action:Action.t ->
-  bool * dependence_timing
-(** {!depends_abstract} plus the time spent in each sub-phase, so the
-    analysis layer can report which phase dominates per (min, max)
-    pair. *)
+(** Wall-clock breakdown of one abstraction-based dependence test
+    ({!Shared.depends_timed}). *)
 
 val dependence_matrix :
   Lts.t ->
@@ -96,7 +88,8 @@ module Pair_set : Set.S with type elt = Action.t * Action.t
     Sound because [preserve {min, max} = preserve {min, max} . preserve
     union] for every pair inside the union alphabet, and minimal DFAs
     are unique up to isomorphism — verdicts and exported minimal
-    automata are identical to the per-pair path. *)
+    automata are identical to those of {!depends_abstract} and
+    {!minimal_automaton} on each pair. *)
 module Shared : sig
   type build_timing = {
     sb_erase_ns : int64;  (** building the shared image NFA *)

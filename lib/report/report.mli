@@ -105,9 +105,9 @@ type pair_coverage = {
   pc_tested : int;  (** pairs whose dependence was actually tested *)
   pc_pruned : int;  (** pairs skipped by static pruning (any kind) *)
   pc_pruned_flow : int;
-      (** the subset of [pc_pruned] attributed ["static-flow"]: skipped
-          by {!Fsa_flow.Flow} taint reachability ([--prune-flow]) and
-          not already caught by the structural pruner *)
+      (** the subset of [pc_pruned] attributed ["static-flow"].  The
+          tool path has no flow pruner, so this is 0; the member stays
+          for the fsa-report/1 schema *)
   pc_dependent : int;  (** pairs that derived a requirement *)
   pc_independent : int;  (** [pc_total - pc_dependent] *)
 }
@@ -124,12 +124,13 @@ type coverage = {
 
 type settings = {
   sg_path : string;  (** ["tool"] or ["manual"] *)
-  sg_method : string;  (** ["abstract"], ["direct"] or ["manual"] *)
-  sg_engine : string;  (** ["shared-v1"], ["per-pair"], ["direct"], ["manual"] *)
+  sg_method : string;  (** ["abstract"] or ["manual"] *)
+  sg_engine : string;  (** ["shared-v1"] or ["manual"] *)
   sg_reduce : string;  (** ["none"], ["sym"], ["por"] or ["sym+por"] *)
   sg_prune : string;
-      (** ["none"], ["static"], ["flow"] or ["static+flow"] — which
-          sound pruners skipped dependence tests *)
+      (** ["none"]: the tool path has no user-selected pruner (the
+          schema still admits the ["static"], ["flow"] and
+          ["static+flow"] of earlier releases) *)
   sg_max_states : int;
 }
 (** What produced the report.  Settings (and the other run-dependent

@@ -37,7 +37,6 @@ module Json = Fsa_store.Json
 module Store = Fsa_store.Store
 module Metrics = Fsa_obs.Metrics
 module Structural = Fsa_struct.Structural
-module Flow = Fsa_flow.Flow
 module Sym = Fsa_sym.Sym
 module Span = Fsa_obs.Span
 module Recorder = Fsa_obs.Recorder
@@ -49,20 +48,18 @@ type config = {
   sv_timeout_ms : int;
   sv_store : Store.t option;
   sv_stakeholder : Action.t -> Agent.t;
-  sv_prune : bool;
   sv_flight_dir : string option;
   sv_slow_ms : float;
 }
 
 let config ?(workers = 1) ?(max_states = 1_000_000) ?(timeout_ms = 0) ?store
     ?(stakeholder = Fsa_requirements.Derive.default_stakeholder)
-    ?(prune = false) ?flight_dir ?(slow_ms = 0.) () =
+    ?flight_dir ?(slow_ms = 0.) () =
   { sv_workers = workers;
     sv_max_states = max_states;
     sv_timeout_ms = timeout_ms;
     sv_store = store;
     sv_stakeholder = stakeholder;
-    sv_prune = prune;
     sv_flight_dir = flight_dir;
     sv_slow_ms = slow_ms }
 
@@ -115,10 +112,6 @@ module Exec = struct
     oc_cached : bool;
   }
 
-  let meth_string = function
-    | Analysis.Direct -> "direct"
-    | Analysis.Abstract -> "abstract"
-
   (* A cooperative timeout: exploration progress ticks double as
      deadline checks.  The final tick must not raise — [Progress.finish]
      runs inside the explorer's [Fun.protect ~finally], where a raise
@@ -129,6 +122,12 @@ module Exec = struct
           (not u.Progress.u_final)
           && Int64.compare (Span.now_ns ()) deadline_ns > 0
         then raise Request_timeout)
+
+  (* A spec without instances has no APA; that is the caller's mistake,
+     not an analysis failure. *)
+  let apa_of_spec spec =
+    try Elaborate.apa_of_spec spec
+    with Invalid_argument msg -> raise (Usage_error msg)
 
   let actions_json set =
     Json.List
@@ -187,7 +186,7 @@ module Exec = struct
           | Some s -> Json.Str s ) ]
 
   let run_reach ~max_states ~progress ~reduce spec =
-    let apa = Elaborate.apa_of_spec spec in
+    let apa = apa_of_spec spec in
     match reduce_plan ~reduce spec apa with
     | None ->
       let lts = Lts.explore ~max_states ?progress apa in
@@ -313,17 +312,10 @@ module Exec = struct
   (* ---- shared-quotient cache ------------------------------------ *)
 
   (* Version stamp of the shared abstraction engine.  Part of every
-     abstract-method requirements key and of every quotient entry's
-     key, so entries written by a different engine generation (or by
-     the per-pair path) can never replay as shared-pass results. *)
+     requirements/report key, of every quotient entry's key and of the
+     report settings, so entries written by a different engine
+     generation can never replay. *)
   let abstraction_engine = "shared-v1"
-
-  (* Which engine actually answers dependence queries — part of the
-     requirements/report outcome keys and of the report settings. *)
-  let engine_string ~meth ~shared =
-    match meth with
-    | Analysis.Direct -> "direct"
-    | Analysis.Abstract -> if shared then abstraction_engine else "per-pair"
 
   module Int_set = Fsa_automata.Automata.Int_set
 
@@ -431,45 +423,26 @@ module Exec = struct
 
   (* ---- requirement reports -------------------------------------- *)
 
-  let prune_string ~prune ~flow =
-    match (prune, flow) with
-    | false, false -> "none"
-    | true, false -> "static"
-    | false, true -> "flow"
-    | true, true -> "static+flow"
-
-  let report_settings ~meth ~shared ~reduce ~prune ~flow ~max_states =
+  let report_settings ~reduce ~max_states =
     { Report.sg_path = "tool";
-      sg_method = meth_string meth;
-      sg_engine = engine_string ~meth ~shared;
+      sg_method = "abstract";
+      sg_engine = abstraction_engine;
       sg_reduce =
         (match reduce with None -> "none" | Some k -> Sym.kind_to_string k);
-      sg_prune = prune_string ~prune ~flow;
+      sg_prune = "none";
       sg_max_states = max_states }
 
   (* One tool-path run plus its Fsa_report view.  The report digest
      covers APA *and* models: classification maps requirements onto the
      declared functional models, so a model edit must change it even
      when the APA part is untouched. *)
-  let tool_report_of cfg ~meth ~max_states ~prune ~flow ~progress
-      ~reduce ~shared ?quotient_cache spec =
-    let apa = Elaborate.apa_of_spec spec in
-    (* the flow graph is rebuilt per request: it is cheap (no state
-       space) and its attribution needs the located skeleton *)
-    let flow_graph =
-      if not flow then None
-      else
-        Some
-          (Flow.build
-             ~attribution:
-               (Fsa_check.Check.flow_attribution
-                  (Elaborate.skeleton_of_spec spec))
-             apa)
-    in
+  let tool_report_of cfg ~max_states ~progress ~reduce ?quotient_cache spec
+      =
+    let apa = apa_of_spec spec in
     let tr =
-      Analysis.tool ~meth ~max_states ~prune ?flow:flow_graph
+      Analysis.tool ~max_states
         ?reduce:(reduce_plan ~reduce spec apa)
-        ~shared ?quotient_cache ?progress ~stakeholder:cfg.sv_stakeholder apa
+        ?quotient_cache ?progress ~stakeholder:cfg.sv_stakeholder apa
     in
     let rpt =
       Report.of_tool
@@ -477,17 +450,15 @@ module Exec = struct
         ~soses:(Elaborate.sos_list spec)
         ~alphabet:(Apa.rule_names apa)
         ~digest:(Elaborate.digest_of_spec ~parts:[ `Apa; `Models ] spec)
-        ~settings:
-          (report_settings ~meth ~shared ~reduce ~prune ~flow ~max_states)
+        ~settings:(report_settings ~reduce ~max_states)
         tr
     in
     (tr, rpt)
 
-  let run_requirements cfg ~meth ~max_states ~prune ~flow ~progress
-      ~reduce ~shared ?quotient_cache spec =
+  let run_requirements cfg ~max_states ~progress ~reduce ?quotient_cache
+      spec =
     let report, rpt =
-      tool_report_of cfg ~meth ~max_states ~prune ~flow ~progress
-        ~reduce ~shared ?quotient_cache spec
+      tool_report_of cfg ~max_states ~progress ~reduce ?quotient_cache spec
     in
     let reduction =
       match report.Analysis.t_reduction with
@@ -549,8 +520,8 @@ module Exec = struct
      path when the spec elaborates instances (or the manual path for an
      explicitly named sos), otherwise the manual path over the declared
      functional models, mirroring [run_analyze]'s selection. *)
-  let run_report cfg ~meth ~max_states ~prune ~flow ~progress ~reduce
-      ~shared ~sos ?quotient_cache spec =
+  let run_report cfg ~max_states ~progress ~reduce ~sos ?quotient_cache spec
+      =
     let manual soses =
       let digest = Elaborate.digest_of_spec ~parts:[ `Models ] spec in
       List.map (fun s -> Report.of_manual ~digest s (Analysis.manual s)) soses
@@ -561,8 +532,8 @@ module Exec = struct
       | None ->
         if (Elaborate.env_of_spec spec).Elaborate.instances <> [] then
           let _, rpt =
-            tool_report_of cfg ~meth ~max_states ~prune ~flow ~progress
-              ~reduce ~shared ?quotient_cache spec
+            tool_report_of cfg ~max_states ~progress ~reduce ?quotient_cache
+              spec
           in
           [ rpt ]
         else manual (soses_of ~sos spec)
@@ -580,7 +551,7 @@ module Exec = struct
       | Some (_ :: _ as ks) -> ks
       | _ -> raise (Usage_error "abstract requires a non-empty keep set")
     in
-    let apa = Elaborate.apa_of_spec spec in
+    let apa = apa_of_spec spec in
     let lts = Lts.explore ~max_states ?progress apa in
     let actions = List.map Action.make keep in
     let h = Hom.preserve actions in
@@ -624,7 +595,7 @@ module Exec = struct
     let patterns = Elaborate.patterns_of_spec spec in
     if patterns = [] then
       raise (Usage_error "the specification declares no check");
-    let apa = Elaborate.apa_of_spec spec in
+    let apa = apa_of_spec spec in
     let lts, note =
       match reduce_plan ~reduce spec apa with
       | Some pl when Sym.canon_fn pl <> None -> (
@@ -686,10 +657,8 @@ module Exec = struct
     | Analyze -> [ `Models ]
     | Check -> [ `Apa; `Checks; `Models ]
 
-  let run cfg ~op ?(meth = Analysis.Abstract) ?(max_states = 1_000_000)
-      ?prune ?(flow = false) ?sos ?keep ?reduce ?(shared = true)
-      ?progress ?deadline_ns ?(cache = true) ~file spec =
-    let prune = Option.value prune ~default:cfg.sv_prune in
+  let run cfg ~op ?(max_states = 1_000_000) ?sos ?keep ?reduce ?progress
+      ?deadline_ns ?(cache = true) ~file spec =
     (* the effective reduction is what runs AND what keys the cache:
        verify ignores the POR half (unsound for arbitrary properties),
        so a [por] verify request shares the unreduced entry *)
@@ -705,20 +674,19 @@ module Exec = struct
          is useful exactly when the outcome itself missed (different
          max_states, evicted outcome, …) *)
       let quotient_hook () =
-        match (meth, if cache then cfg.sv_store else None) with
-        | Analysis.Abstract, Some st when shared ->
+        match if cache then cfg.sv_store else None with
+        | Some st ->
           Some
             (quotient_cache st
                ~digest:(Elaborate.digest_of_spec ~parts:[ `Apa ] spec)
                ~max_states ~reduce)
-        | _ -> None
+        | None -> None
       in
       try
         match op with
         | Reach -> run_reach ~max_states ~progress ~reduce spec
         | Requirements ->
-          run_requirements cfg ~meth ~max_states ~prune ~flow ~progress
-            ~reduce ~shared
+          run_requirements cfg ~max_states ~progress ~reduce
             ?quotient_cache:(quotient_hook ())
             spec
         | Analyze -> run_analyze ~sos spec
@@ -726,8 +694,7 @@ module Exec = struct
         | Verify -> run_verify ~max_states ~progress ~reduce spec
         | Check -> run_check ~file spec
         | Report ->
-          run_report cfg ~meth ~max_states ~prune ~flow ~progress
-            ~reduce ~shared ~sos
+          run_report cfg ~max_states ~progress ~reduce ~sos
             ?quotient_cache:(quotient_hook ())
             spec
       with Lts.State_space_too_large n ->
@@ -749,7 +716,7 @@ module Exec = struct
             hint
             ^
             try
-              let apa = Elaborate.apa_of_spec spec in
+              let apa = apa_of_spec spec in
               let sigs = Elaborate.guard_signatures spec in
               let rep =
                 Sym.detect
@@ -782,10 +749,6 @@ module Exec = struct
     | None -> fresh ()
     | Some st -> (
       let digest = Elaborate.digest_of_spec ~parts:(digest_parts op) spec in
-      (* [prune] is deliberately not part of the key: it may not change
-         the result (pruning only skips pairs whose dependence is provably
-         negative), so a cached unpruned outcome serves a pruned request
-         and vice versa *)
       let params =
         let ms = ("max_states", string_of_int max_states) in
         (* [reduce] IS part of the key: reduced runs report quotient
@@ -797,26 +760,15 @@ module Exec = struct
           | None -> []
           | Some k -> [ ("reduce", Sym.kind_to_string k) ]
         in
-        (* [flow] IS part of the requirements/report keys, unlike
-           [prune]: verdicts cannot change, but flow-pruned outcomes
-           attribute pairs ("pruned_by", settings, coverage) that
-           pre-flow entries — including any written before the member
-           existed — do not carry, so the two must never replay for
-           each other *)
-        let fl = ("flow", if flow then "static-flow" else "none") in
+        (* the engine param keys outcomes away from those of another
+           engine generation (and from pre-engine ones): their timing
+           sections differ even where verdicts are identical *)
+        let en = ("engine", abstraction_engine) in
         match op with
         | Reach -> ms :: rd
-        | Requirements ->
-          (* the engine param keys shared-pass outcomes away from
-             per-pair (and pre-engine) ones: their timing sections
-             differ even though verdicts are identical *)
-          (ms :: rd)
-          @ [ ("method", meth_string meth);
-              ("engine", engine_string ~meth ~shared); fl ]
+        | Requirements -> (ms :: rd) @ [ en ]
         | Report ->
-          (ms :: rd)
-          @ [ ("method", meth_string meth);
-              ("engine", engine_string ~meth ~shared); fl ]
+          (ms :: rd) @ [ en ]
           @ (match sos with Some s -> [ ("sos", s) ] | None -> [])
         | Analyze -> (
           match sos with Some s -> [ ("sos", s) ] | None -> [])
@@ -1088,16 +1040,6 @@ let handle_request cfg ~trace_id req =
              (Int64.mul (Int64.of_int timeout_ms) 1_000_000L))
       else None
     in
-    let meth =
-      match req_str req "method" with
-      | Some "direct" -> Analysis.Direct
-      | Some "abstract" -> Analysis.Abstract
-      | Some s ->
-        raise
-          (Usage_error
-             (Printf.sprintf "unknown method %S (direct|abstract)" s))
-      | None -> Analysis.Abstract
-    in
     let reduce =
       match req_str req "reduce" with
       | None -> None
@@ -1110,10 +1052,8 @@ let handle_request cfg ~trace_id req =
                (Printf.sprintf "unknown reduce %S (sym|por|sym+por)" s)))
     in
     let outcome =
-      Exec.run cfg ~op ~meth ~max_states ?prune:(req_bool req "prune")
-        ?flow:(req_bool req "flow") ?sos:(req_str req "sos")
-        ?keep:(req_keep req) ?reduce
-        ?shared:(req_bool req "shared") ?deadline_ns
+      Exec.run cfg ~op ~max_states ?sos:(req_str req "sos")
+        ?keep:(req_keep req) ?reduce ?deadline_ns
         ~cache:(Option.value (req_bool req "cache") ~default:true)
         ~file spec
     in

@@ -13,26 +13,20 @@
 
     {v
     {"id": .., "op": "reach", "source": "..", "max_states": 10000}
-    {"id": .., "op": "requirements", "spec": "path.fsa", "method": "direct"}
+    {"id": .., "op": "requirements", "spec": "path.fsa", "reduce": "sym"}
     v}
 
     [op] is one of [reach], [requirements], [analyze], [abstract],
     [verify], [check], or the protocol-level [stats] (below); the model
     comes either inline ([source]) or from a file ([spec]).  Optional
     members: [max_states] (clamped to the server's bound), [timeout_ms]
-    (clamped to the server's budget), [method] ([direct]|[abstract],
-    requirements only), [prune] (requirements only: skip dependence
-    tests for statically independent action pairs — never changes the
-    result), [reduce] ([sym]|[por]|[sym+por]: symmetry / partial-order
-    reduction on reach, requirements and verify; verify honours only
-    the symmetry half), [shared] (requirements only, default [true]:
-    answer all dependence pairs from the shared multi-pair abstraction
-    engine; [false] falls back to the legacy per-pair path — verdicts
-    and requirement reports are identical either way), [sos] (analyze),
+    (clamped to the server's budget), [reduce] ([sym]|[por]|[sym+por]:
+    symmetry / partial-order reduction on reach, requirements and
+    verify; verify honours only the symmetry half), [sos] (analyze),
     [keep] (list of action names, abstract only), [cache] (set [false]
     to bypass the store for one request) and [trace_id] (a
     client-chosen identifier for the request's trace; one is generated
-    when absent).
+    when absent).  Unknown members are ignored.
 
     Each response is a single line, in request order, echoing the
     request's trace id:
@@ -80,9 +74,6 @@ type config = {
   sv_store : Store.t option;  (** result cache; [None] disables caching *)
   sv_stakeholder : Action.t -> Agent.t;
       (** stakeholder assignment for the tool path (requirements) *)
-  sv_prune : bool;
-      (** default for static dependence pruning (requirements); requests
-          may override it with a ["prune"] member *)
   sv_flight_dir : string option;
       (** where to write flight-recorder dumps for requests ending in
           [timeout], [too_large] or [internal]; [None] disables dumps *)
@@ -98,13 +89,12 @@ val config :
   ?timeout_ms:int ->
   ?store:Store.t ->
   ?stakeholder:(Action.t -> Agent.t) ->
-  ?prune:bool ->
   ?flight_dir:string ->
   ?slow_ms:float ->
   unit ->
   config
 (** Defaults: 1 worker, 1_000_000 states, no timeout, no store, the
-    paper's default stakeholder assignment, no pruning, no flight dumps,
+    paper's default stakeholder assignment, no flight dumps,
     no slow-request threshold. *)
 
 exception Request_timeout
@@ -139,14 +129,10 @@ module Exec : sig
   val run :
     config ->
     op:op ->
-    ?meth:Fsa_core.Analysis.dependence_method ->
     ?max_states:int ->
-    ?prune:bool ->
-    ?flow:bool ->
     ?sos:string ->
     ?keep:string list ->
     ?reduce:Fsa_sym.Sym.kind ->
-    ?shared:bool ->
     ?progress:Fsa_obs.Progress.t ->
     ?deadline_ns:int64 ->
     ?cache:bool ->
@@ -159,19 +145,6 @@ module Exec : sig
       never cached: its diagnostics carry source locations, which the
       location-free digest deliberately ignores.  Timeouts and other
       errors propagate as exceptions and are never cached.
-      [prune] (default [sv_prune]) enables static dependence pruning on
-      the requirements path; it cannot change the result and is
-      therefore not part of the cache key — a cached unpruned outcome
-      serves a pruned request and vice versa.
-      [flow] (default [false], request member ["flow"]) additionally
-      prunes with {!Fsa_flow.Flow} taint reachability on the
-      requirements and report paths; pairs it skips that static pruning
-      did not are attributed ["static-flow"] in the report coverage and
-      the per-pair ["pruned_by"] timing member.  Unlike [prune], [flow]
-      {e is} part of the requirements/report cache keys (a ["flow"]
-      param): verdicts cannot change, but flow-pruned outcomes carry
-      attribution that pre-flow entries lack, so the two never replay
-      for each other.
       [reduce] requests symmetry / partial-order reduction
       ({!Fsa_sym.Sym}) on the reach, requirements and verify paths; it
       {e is} part of the cache key, because reduced outcomes report
@@ -180,12 +153,10 @@ module Exec : sig
       POR-reduced graph is unsound for arbitrary properties, and the
       symmetry path model-checks the exact unfolded graph, so verify
       verdicts never depend on the reduction.
-      [shared] (default [true]) answers all requirements dependence
-      pairs from the shared multi-pair abstraction engine
-      ({!Fsa_core.Analysis.tool}[ ~shared]); it is part of the
-      requirements cache key (as an ["engine"] param, together with the
-      engine version), because shared-pass and per-pair outcomes carry
-      different timing sections even though verdicts are identical.
+      Requirements and report outcomes are keyed with the version of
+      the shared abstraction engine ({!Fsa_core.Analysis.tool}) as an
+      ["engine"] param, so outcomes of another engine generation never
+      replay.
       With a store configured, the shared intermediate quotient itself
       is cached under kind ["quotient"], keyed by the APA digest, the
       erased-alphabet digest, [max_states], the effective reduction and
@@ -195,7 +166,7 @@ module Exec : sig
       when the spec elaborates instances (or the manual path for an
       explicitly named [sos]), otherwise the manual path over every
       declared functional model.  Report outcomes are cached like
-      requirements ones (method/engine/reduce params, plus ["sos"] when
+      requirements ones (engine/reduce params, plus ["sos"] when
       given) under the APA+models digest: the embedded classification
       maps onto the declared functional models, so requirements and
       report entries must miss when the models change even if the APA
@@ -205,7 +176,8 @@ module Exec : sig
       cooperative timeout checked during exploration; it is only used
       when no [progress] reporter is supplied.
       @raise Fsa_spec.Loc.Error on specs that do not elaborate
-      @raise Usage_error on analysis-level misuse
+      @raise Usage_error on analysis-level misuse, including a spec
+      that declares no instances for an op that explores its APA
       @raise Request_timeout past the deadline
       @raise Too_large beyond [max_states] *)
 end

@@ -1,16 +1,14 @@
-(* Tests for the shared multi-pair abstraction engine: verdict /
-   report / minimal-automaton equivalence with the legacy per-pair path
-   across every bundled example spec (x --reduce kind), the
+(* Tests for the shared multi-pair abstraction engine: dependence
+   matrices equal to the per-pair oracles of {!Dependence_oracle} on
+   every bundled example spec, minimal-automaton equivalence, the
    on-the-fly early-decision pass, the quotient-cache hooks at the
    analysis level, and the engine-versioned store keys at the server
-   level (pre-engine entries must never replay as shared-pass
-   results). *)
+   level (entries of another engine generation must never replay). *)
 
 module Action = Fsa_term.Action
 module Apa = Fsa_apa.Apa
 module Lts = Fsa_lts.Lts
 module Hom = Fsa_hom.Hom
-module Sym = Fsa_sym.Sym
 module Analysis = Fsa_core.Analysis
 module Auth = Fsa_requirements.Auth
 module Parser = Fsa_spec.Parser
@@ -24,45 +22,22 @@ module V = Fsa_vanet.Vehicle_apa
 let render r = Fmt.str "%a" Analysis.pp_tool_report r
 
 (* ------------------------------------------------------------------ *)
-(* Equivalence with the legacy per-pair path                           *)
+(* Equivalence with the per-pair oracles                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The legacy baseline is computed once per (model, reduction). *)
-let check_shared_equals_legacy name ?guard_sig apa =
-  let stakeholder = V.stakeholder in
-  List.iter
-    (fun kind ->
-      let reduce = Option.map (fun k -> Sym.plan ?guard_sig k apa) kind in
-      let legacy = Analysis.tool ?reduce ~shared:false ~stakeholder apa in
-      Alcotest.(check bool)
-        (name ^ ": legacy path has no shared timing section")
-        true
-        (legacy.Analysis.t_timings.Analysis.ph_shared = None);
-      let legacy_report = render legacy in
-      let sh = Analysis.tool ?reduce ~stakeholder apa in
-      let label =
-        Printf.sprintf "%s/--reduce %s" name
-          (match kind with
-          | None -> "none"
-          | Some k -> Sym.kind_to_string k)
-      in
-      Alcotest.(check string)
-        (label ^ ": rendered report byte-identical")
-        legacy_report (render sh);
-      Alcotest.(check bool)
-        (label ^ ": requirement sets identical")
-        true
-        (Auth.equal_set legacy.Analysis.t_requirements
-           sh.Analysis.t_requirements))
-    [ None; Some Sym.Sym; Some Sym.Sym_por ]
+let flat m =
+  List.concat_map
+    (fun (mx, row) ->
+      List.map
+        (fun (mn, dep) -> (Action.to_string mn, Action.to_string mx, dep))
+        row)
+    m
 
-let test_shared_identical_vanet () =
-  check_shared_equals_legacy "two-vehicles" ~guard_sig:V.guard_attest
-    (V.two_vehicles ());
-  check_shared_equals_legacy "four-vehicles" ~guard_sig:V.guard_attest
-    (V.four_vehicles ())
+let matrix = Alcotest.(list (triple string string bool))
 
-let test_shared_identical_specs () =
+(* The reduce axis is pinned separately (test_sym "reduced == unreduced
+   on example specs"), so the oracles run on the unreduced graph. *)
+let test_engine_equals_oracles () =
   match Test_check.spec_dir () with
   | None -> ()
   | Some dir ->
@@ -76,9 +51,26 @@ let test_shared_identical_specs () =
           | exception (Fsa_spec.Loc.Error _ | Invalid_argument _) -> ()
           | apa ->
             incr analysed;
-            let sigs = Elaborate.guard_signatures spec in
-            let guard_sig n = List.assoc_opt n sigs in
-            check_shared_equals_legacy (Filename.basename path) ~guard_sig apa))
+            let name = Filename.basename path in
+            let r = Analysis.tool ~stakeholder:V.stakeholder apa in
+            let lts = r.Analysis.t_lts in
+            let minima = r.Analysis.t_minima
+            and maxima = r.Analysis.t_maxima in
+            let engine = flat r.Analysis.t_matrix in
+            Alcotest.check matrix
+              (name ^ ": matrix = per-pair abstraction")
+              (flat (Dependence_oracle.abstract lts ~minima ~maxima))
+              engine;
+            let direct = Dependence_oracle.direct lts ~minima ~maxima in
+            Alcotest.check matrix (name ^ ": matrix = direct test")
+              (flat direct) engine;
+            Alcotest.(check bool)
+              (name ^ ": requirement sets identical")
+              true
+              (Auth.equal_set
+                 (Dependence_oracle.requirements ~stakeholder:V.stakeholder
+                    direct)
+                 r.Analysis.t_requirements)))
       (Test_check.example_files dir);
     Alcotest.(check bool) "at least one spec analysed" true (!analysed > 0)
 
@@ -140,8 +132,7 @@ let test_engine_verdicts_match_per_pair () =
       List.iter
         (fun mx ->
           let expected =
-            Analysis.dependence ~meth:Analysis.Abstract lts ~min_action:mn
-              ~max_action:mx
+            Hom.depends_abstract lts ~min_action:mn ~max_action:mx
           in
           Alcotest.(check bool)
             (Fmt.str "verdict (%a, %a)" Action.pp mn Action.pp mx)
@@ -268,27 +259,36 @@ let with_store f () =
     ~finally:(fun () -> Test_store.rm_rf dir)
     (fun () -> f (Store.open_ ~dir ()) dir)
 
-(* Shared-pass and per-pair outcomes live under distinct keys (the
-   ["engine"] param): neither replays as the other, while both render
-   the identical human report. *)
+(* Requirements outcomes are keyed with the engine version: a run
+   replays its own entry, while an entry written under another engine
+   stamp (the retired per-pair engine's, here) never replays. *)
 let test_engine_cache_keys =
   with_store (fun st _dir ->
-      let cfg = Server.config ~store:st () in
       let spec = parse Test_store.spec_text in
-      let run shared =
-        Exec.run cfg ~op:Exec.Requirements ~shared ~file:"a.fsa" spec
+      let digest =
+        Elaborate.digest_of_spec ~parts:[ `Apa; `Models ] spec
       in
-      let o1 = run false in
-      Alcotest.(check bool) "legacy run computes" false o1.Exec.oc_cached;
-      let o2 = run false in
-      Alcotest.(check bool) "legacy outcome replays" true o2.Exec.oc_cached;
-      let o3 = run true in
-      Alcotest.(check bool) "legacy entry does not serve the shared engine"
-        false o3.Exec.oc_cached;
-      let o4 = run true in
-      Alcotest.(check bool) "shared outcome replays" true o4.Exec.oc_cached;
-      Alcotest.(check string) "reports identical across engines"
-        o1.Exec.oc_output o3.Exec.oc_output)
+      let key engine =
+        Store.cache_key ~digest ~kind:"requirements"
+          ~params:[ ("max_states", "1000000"); ("engine", engine) ]
+      in
+      Store.add st
+        { Store.e_key = key "per-pair";
+          e_kind = "requirements";
+          e_result = Json.Obj [];
+          e_output = "entry of another engine";
+          e_exit = 0 };
+      let cfg = Server.config ~store:st () in
+      let run () = Exec.run cfg ~op:Exec.Requirements ~file:"a.fsa" spec in
+      let o1 = run () in
+      Alcotest.(check bool) "other engine's entry does not replay" false
+        o1.Exec.oc_cached;
+      Alcotest.(check bool) "outcome stored under the engine stamp" true
+        (Store.find st ~key:(key "shared-v1") <> None);
+      let o2 = run () in
+      Alcotest.(check bool) "own outcome replays" true o2.Exec.oc_cached;
+      Alcotest.(check string) "identical replay" o1.Exec.oc_output
+        o2.Exec.oc_output)
 
 (* An entry written under the pre-engine key format (no ["engine"]
    param — what earlier releases produced) must never replay as a
@@ -380,10 +380,7 @@ let test_quotient_reuse_and_corruption =
         o1.Exec.oc_output o4.Exec.oc_output)
 
 let suite =
-  [ Alcotest.test_case "shared = legacy (vanet builders)" `Quick
-      test_shared_identical_vanet;
-    Alcotest.test_case "shared = legacy (example specs)" `Slow
-      test_shared_identical_specs;
+  [ Alcotest.test_case "engine = oracles" `Slow test_engine_equals_oracles;
     Alcotest.test_case "shared timing section" `Quick
       test_shared_timing_section;
     Alcotest.test_case "engine verdicts = per-pair" `Quick

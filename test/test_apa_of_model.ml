@@ -38,18 +38,29 @@ let test_states_equal_ideals () =
     [ S.rsu_and_vehicle; S.two_vehicles; S.three_vehicles;
       S.chain_concrete 4; Fsa_grid.Scenario.demand_response () ]
 
+(* Cross-validate the manual path against the tool path's verdicts as
+   the direct test on the canonical APA's graph decides them. *)
+let crosscheck_direct
+    ?(stakeholder = Fsa_requirements.Derive.default_stakeholder) sos =
+  let manual = Analysis.manual ~stakeholder sos in
+  Analysis.crosscheck
+    ~map:(fun a -> Some a)
+    ~manual_requirements:manual.Analysis.m_requirements
+    ~tool_requirements:
+      (Dependence_oracle.direct_requirements ~stakeholder
+         (AoM.compile ~name:(Sos.name sos) sos))
+
 let test_crosscheck_scenarios () =
   List.iter
     (fun sos ->
-      let c = AoM.crosscheck ~meth:Analysis.Direct sos in
+      let c = crosscheck_direct sos in
       Alcotest.(check bool) (Sos.name sos ^ " agrees") true c.Analysis.c_agree)
     [ S.rsu_and_vehicle; S.two_vehicles; S.three_vehicles;
       S.chain_concrete 5 ]
 
 let test_crosscheck_grid () =
   let c =
-    AoM.crosscheck ~meth:Analysis.Direct
-      ~stakeholder:Fsa_grid.Scenario.stakeholder
+    crosscheck_direct ~stakeholder:Fsa_grid.Scenario.stakeholder
       (Fsa_grid.Scenario.demand_response ())
   in
   Alcotest.(check bool) "grid agrees" true c.Analysis.c_agree
@@ -57,14 +68,14 @@ let test_crosscheck_grid () =
 let test_crosscheck_evita () =
   (* the full EVITA-scale model: 80 460 states *)
   let c =
-    AoM.crosscheck ~meth:Analysis.Direct
-      ~stakeholder:Fsa_vanet.Evita.stakeholder Fsa_vanet.Evita.model
+    crosscheck_direct ~stakeholder:Fsa_vanet.Evita.stakeholder
+      Fsa_vanet.Evita.model
   in
   Alcotest.(check bool) "EVITA agrees" true c.Analysis.c_agree
 
 let test_abstract_method_on_canonical () =
   (* the abstraction-based dependence test also works on generated APAs *)
-  let report = AoM.tool_analysis ~meth:Analysis.Abstract S.two_vehicles in
+  let report = AoM.tool_analysis S.two_vehicles in
   Alcotest.(check int) "3 requirements" 3
     (List.length report.Analysis.t_requirements)
 
@@ -114,7 +125,7 @@ let prop_no_spurious =
 let prop_crosscheck_random =
   QCheck2.Test.make ~name:"canonical APA crosschecks on random models"
     ~count:30 Test_random.gen_sos (fun sos ->
-      (AoM.crosscheck ~meth:Analysis.Direct sos).Analysis.c_agree)
+      (crosscheck_direct sos).Analysis.c_agree)
 
 let suite =
   [ Alcotest.test_case "two vehicles: 13 states" `Quick test_two_vehicles_states;

@@ -44,20 +44,19 @@ let test_tool_report_four_vehicles () =
     (fun (_, row) -> Alcotest.(check int) "6 minima columns" 6 (List.length row))
     r.Analysis.t_matrix
 
+(* The tool path's abstraction-based verdicts derive the same
+   requirements as the direct test on the reachability graph. *)
 let test_methods_agree () =
   List.iter
     (fun apa ->
       let direct =
-        Analysis.tool ~meth:Analysis.Direct ~stakeholder:V.stakeholder apa
+        Dependence_oracle.direct_requirements ~stakeholder:V.stakeholder apa
       in
-      let abstract =
-        Analysis.tool ~meth:Analysis.Abstract ~stakeholder:V.stakeholder apa
-      in
+      let abstract = Analysis.tool ~stakeholder:V.stakeholder apa in
       Alcotest.(check bool)
         (Fsa_apa.Apa.name apa ^ ": direct = abstract")
         true
-        (Auth.equal_set direct.Analysis.t_requirements
-           abstract.Analysis.t_requirements))
+        (Auth.equal_set direct abstract.Analysis.t_requirements))
     [ V.two_vehicles (); V.four_vehicles (); V.chain 3; V.chain 4 ]
 
 let test_crosscheck_agreement () =

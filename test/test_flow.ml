@@ -1,24 +1,13 @@
-(* Tests for the static information-flow analysis: soundness of
-   --prune-flow (requirements reports byte-identical with and without
-   the flow pruner across every bundled example spec x --reduce kind x
-   shared abstraction on/off), the guard-kill refinement, the
-   leak / unsanitized-flow diagnostics on the deliberately leaky
-   example, static-flow attribution of pruned pairs, and determinism of
-   the check --json diagnostic order under declaration permutation and
-   reformatting. *)
+(* Tests for the static information-flow analysis: the guard-kill
+   refinement, the leak / unsanitized-flow diagnostics on the
+   deliberately leaky example, and determinism of the check --json
+   diagnostic order under declaration permutation and reformatting. *)
 
-module Apa = Fsa_apa.Apa
-module Sym = Fsa_sym.Sym
-module Analysis = Fsa_core.Analysis
-module Auth = Fsa_requirements.Auth
 module Parser = Fsa_spec.Parser
 module Elaborate = Fsa_spec.Elaborate
 module Flow = Fsa_flow.Flow
 module Check = Fsa_check.Check
 module D = Fsa_check.Diagnostic
-module V = Fsa_vanet.Vehicle_apa
-
-let render r = Fmt.str "%a" Analysis.pp_tool_report r
 
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
@@ -30,73 +19,7 @@ let flow_of spec apa =
     ~attribution:(Check.flow_attribution (Elaborate.skeleton_of_spec spec))
     apa
 
-(* ------------------------------------------------------------------ *)
-(* Soundness: --prune-flow never changes the derived requirements      *)
-(* ------------------------------------------------------------------ *)
-
-(* The baseline is one unpruned run per (model, reduction):
-   pp_tool_report prints no timings and only dependent matrix entries,
-   so it is invariant under engine and pruning — exactly the
-   byte-identity the pruner must preserve. *)
-let check_flow_sound name ?guard_sig ~flow apa =
-  let stakeholder = V.stakeholder in
-  List.iter
-    (fun kind ->
-      let reduce = Option.map (fun k -> Sym.plan ?guard_sig k apa) kind in
-      let base = Analysis.tool ?reduce ~stakeholder apa in
-      let base_report = render base in
-      List.iter
-        (fun shared ->
-          let pruned = Analysis.tool ?reduce ~shared ~flow ~stakeholder apa in
-          let label =
-            Printf.sprintf "%s/--reduce %s/shared %b" name
-              (match kind with
-              | None -> "none"
-              | Some k -> Sym.kind_to_string k)
-              shared
-          in
-          Alcotest.(check string)
-            (label ^ ": report byte-identical under --prune-flow")
-            base_report (render pruned);
-          Alcotest.(check bool)
-            (label ^ ": requirement sets identical")
-            true
-            (Auth.equal_set base.Analysis.t_requirements
-               pruned.Analysis.t_requirements))
-        [ true; false ];
-      (* both pruners together: structural attribution wins, the
-         requirements still cannot change *)
-      let both =
-        Analysis.tool ?reduce ~prune:true ~flow ~stakeholder apa
-      in
-      Alcotest.(check string)
-        (name ^ ": report byte-identical under --prune-static --prune-flow")
-        base_report (render both))
-    [ None; Some Sym.Sym; Some Sym.Sym_por ]
-
-let test_flow_sound_specs () =
-  match Test_check.spec_dir () with
-  | None -> ()
-  | Some dir ->
-    let analysed = ref 0 in
-    List.iter
-      (fun path ->
-        match Parser.parse_file path with
-        | exception _ -> ()
-        | spec -> (
-          match Elaborate.apa_of_spec spec with
-          | exception (Fsa_spec.Loc.Error _ | Invalid_argument _) -> ()
-          | apa ->
-            incr analysed;
-            let sigs = Elaborate.guard_signatures spec in
-            let guard_sig n = List.assoc_opt n sigs in
-            check_flow_sound (Filename.basename path) ~guard_sig
-              ~flow:(flow_of spec apa) apa))
-      (Test_check.example_files dir);
-    Alcotest.(check bool) "at least one spec analysed" true (!analysed > 0)
-
-(* Pairs only the flow pruner skips are attributed "static-flow"; with
-   the structural pruner also on, its "static" attribution wins. *)
+(* A gateway whose key leaks onto the shared radio. *)
 let leaky_source =
   {|
 component Gateway {
@@ -128,30 +51,6 @@ let leaky () =
   let spec = Parser.parse_string leaky_source in
   let apa = Elaborate.apa_of_spec spec in
   (spec, apa)
-
-let pruned_by r =
-  List.filter_map
-    (fun pt -> pt.Analysis.pt_pruned_by)
-    r.Analysis.t_timings.Analysis.ph_pairs
-
-let test_static_flow_attribution () =
-  let spec, apa = leaky () in
-  let flow = flow_of spec apa in
-  let r = Analysis.tool ~flow ~stakeholder:V.stakeholder apa in
-  let by = pruned_by r in
-  Alcotest.(check bool) "flow alone prunes pairs" true (by <> []);
-  List.iter
-    (fun by -> Alcotest.(check string) "attributed static-flow" "static-flow" by)
-    by;
-  let both = Analysis.tool ~prune:true ~flow ~stakeholder:V.stakeholder apa in
-  List.iter
-    (fun by -> Alcotest.(check string) "static wins attribution" "static" by)
-    (pruned_by both);
-  Alcotest.(check int) "same pairs pruned either way" (List.length by)
-    (List.length (pruned_by both));
-  let unpruned = Analysis.tool ~stakeholder:V.stakeholder apa in
-  Alcotest.(check (list string)) "no attribution without pruners" []
-    (pruned_by unpruned)
 
 (* ------------------------------------------------------------------ *)
 (* The flow graph itself                                               *)
@@ -220,8 +119,8 @@ let test_guard_kills () =
        (Flow.edges g))
 
 (* Refined reachability is a subgraph of the skeleton's, so the flow
-   pruner can only prune a superset of the skeleton-independent
-   pairs. *)
+   graph proves a superset of the skeleton-independent pairs
+   independent. *)
 let test_refinement_is_monotone () =
   match Test_check.spec_dir () with
   | None -> ()
@@ -325,11 +224,7 @@ let test_check_json_deterministic () =
           (Parser.parse_string leaky_source)))
 
 let suite =
-  [ Alcotest.test_case "--prune-flow sound on example specs" `Slow
-      test_flow_sound_specs;
-    Alcotest.test_case "static-flow attribution" `Quick
-      test_static_flow_attribution;
-    Alcotest.test_case "leak and unsanitized flow detected" `Quick
+  [ Alcotest.test_case "leak and unsanitized flow detected" `Quick
       test_leak_detected;
     Alcotest.test_case "guard kills self-reception" `Quick test_guard_kills;
     Alcotest.test_case "refinement monotone vs skeleton" `Quick

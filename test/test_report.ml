@@ -1,20 +1,18 @@
-(* Tests for spec check declarations, the Markdown report generator and
-   the Fsa_report requirements-report subsystem (stable SR-* ids,
-   golden cross-configuration bodies, coverage identities). *)
+(* Tests for spec check declarations and the Fsa_report
+   requirements-report subsystem (stable SR-* ids, golden
+   cross-configuration bodies, coverage identities). *)
 
 module Parser = Fsa_spec.Parser
 module Elaborate = Fsa_spec.Elaborate
 module Ast = Fsa_spec.Ast
 module Pattern = Fsa_mc.Pattern
 module Lts = Fsa_lts.Lts
-module Report = Fsa_core.Report
 module R = Fsa_report.Report
 module Analysis = Fsa_core.Analysis
 module Sym = Fsa_sym.Sym
 module Apa = Fsa_apa.Apa
 module Classify = Fsa_requirements.Classify
 module S = Fsa_vanet.Scenario
-module Evita = Fsa_vanet.Evita
 
 let contains s sub =
   let rec go i =
@@ -156,46 +154,6 @@ let test_pretty_preserves_behaviour () =
   Alcotest.(check int) "same state space" (states spec) (states reparsed)
 
 (* ------------------------------------------------------------------ *)
-(* Report generation                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_report_two_vehicles () =
-  let md = Report.markdown S.three_vehicles in
-  Alcotest.(check bool) "title" true
-    (contains md "# Functional security analysis: three_vehicles");
-  Alcotest.(check bool) "inputs section" true (contains md "System inputs");
-  Alcotest.(check bool) "requirements table" true (contains md "| # | Cause |");
-  Alcotest.(check bool) "policy note" true
-    (contains md "position-based-forwarding");
-  Alcotest.(check bool) "availability count" true
-    (contains md "1 requirement(s) exist only because");
-  Alcotest.(check bool) "confidentiality table" true
-    (contains md "Inferred level");
-  Alcotest.(check bool) "refinement table" true (contains md "Min. cut");
-  Alcotest.(check bool) "prioritised work list" true
-    (contains md "Prioritised work list")
-
-let test_report_options () =
-  let options =
-    { Report.default_options with
-      Report.with_confidentiality = false;
-      with_refinement = false }
-  in
-  let md = Report.markdown ~options S.two_vehicles in
-  Alcotest.(check bool) "no confidentiality section" false
-    (contains md "Inferred level");
-  Alcotest.(check bool) "no refinement section" false (contains md "Min. cut");
-  Alcotest.(check bool) "requirements still present" true
-    (contains md "| # | Cause |")
-
-let test_report_evita () =
-  let options = { Report.default_options with Report.stakeholder = Evita.stakeholder } in
-  let md = Report.markdown ~options Evita.model in
-  Alcotest.(check bool) "mentions all 29" true
-    (contains md "Authenticity requirements (29)");
-  Alcotest.(check bool) "driver stakeholder used" true (contains md "Driver")
-
-(* ------------------------------------------------------------------ *)
 (* Fsa_report: requirement reports                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -210,8 +168,8 @@ let test_pp_class_unattributed () =
     (contains s "policy-induced (availability): p1" && contains s "p2")
 
 (* Build a tool-path report the way the server does, parameterised by
-   engine and reduction. *)
-let build_report ?reduce ?(shared = true) spec =
+   reduction. *)
+let build_report ?reduce spec =
   let apa = Elaborate.apa_of_spec spec in
   let sigs = Elaborate.guard_signatures spec in
   let plan =
@@ -220,8 +178,7 @@ let build_report ?reduce ?(shared = true) spec =
       reduce
   in
   let tr =
-    Analysis.tool ?reduce:plan ~shared
-      ~stakeholder:Fsa_vanet.Vehicle_apa.stakeholder apa
+    Analysis.tool ?reduce:plan ~stakeholder:Fsa_vanet.Vehicle_apa.stakeholder apa
   in
   let rpt =
     R.of_tool
@@ -232,7 +189,7 @@ let build_report ?reduce ?(shared = true) spec =
       ~settings:
         { R.sg_path = "tool";
           sg_method = "abstract";
-          sg_engine = (if shared then "shared-v1" else "per-pair");
+          sg_engine = "shared-v1";
           sg_reduce =
             (match reduce with
             | None -> "none"
@@ -258,9 +215,8 @@ let example_specs () =
       (Test_check.example_files dir)
 
 (* The report body (ids, digests, classes, scores, ranks, verification
-   tags, endpoints, action traceability) is invariant across the
-   abstraction engine and every reduction kind: golden byte-for-byte on
-   both emitters.  Settings/pair-statistics blocks legitimately differ,
+   tags, endpoints, action traceability) is invariant across every
+   reduction kind: golden byte-for-byte on both emitters.  Settings/pair-statistics blocks legitimately differ,
    which is exactly what [~body_only] excludes. *)
 let test_golden_across_configs () =
   let specs = example_specs () in
@@ -271,14 +227,10 @@ let test_golden_across_configs () =
       let base_json = R.to_json_string ~body_only:true base in
       let base_md = R.to_markdown ~body_only:true base in
       List.iter
-        (fun (reduce, shared) ->
-          let _, rpt = build_report ?reduce ~shared spec in
+        (fun reduce ->
+          let _, rpt = build_report ~reduce spec in
           let label =
-            Printf.sprintf "%s/--reduce %s/%s" name
-              (match reduce with
-              | None -> "none"
-              | Some k -> Sym.kind_to_string k)
-              (if shared then "shared" else "legacy")
+            Printf.sprintf "%s/--reduce %s" name (Sym.kind_to_string reduce)
           in
           Alcotest.(check string)
             (label ^ ": JSON body golden") base_json
@@ -291,11 +243,7 @@ let test_golden_across_configs () =
             (label ^ ": ranks are a permutation of 1..n")
             (List.init (List.length ranks) (fun i -> i + 1))
             (List.sort compare ranks))
-        [ (None, false);
-          (Some Sym.Sym, true);
-          (Some Sym.Sym, false);
-          (Some Sym.Sym_por, true);
-          (Some Sym.Sym_por, false) ])
+        [ Sym.Sym; Sym.Sym_por ])
     specs
 
 (* Two from-scratch runs over the same spec must agree byte-for-byte on
@@ -407,9 +355,6 @@ let suite =
     Alcotest.test_case "pretty round trip (inline)" `Quick test_pretty_roundtrip_inline;
     Alcotest.test_case "pretty round trip (files)" `Quick test_pretty_roundtrip_files;
     Alcotest.test_case "pretty preserves behaviour" `Quick test_pretty_preserves_behaviour;
-    Alcotest.test_case "report content" `Quick test_report_two_vehicles;
-    Alcotest.test_case "report options" `Quick test_report_options;
-    Alcotest.test_case "report on EVITA" `Quick test_report_evita;
     Alcotest.test_case "pp_class unattributed" `Quick
       test_pp_class_unattributed;
     Alcotest.test_case "golden bodies across configs" `Quick

@@ -72,7 +72,8 @@ let test_roundtrips () =
   Alcotest.(check bool) "reach ok" true (is_ok r);
   Alcotest.(check bool) "reach states" true
     (result_member "states" r = Some (Json.Int 13));
-  (* requirements *)
+  (* requirements; the retired "method" member is ignored like any
+     other unknown member *)
   let r =
     reply
       (source_request ~id:2 ~op:"requirements"
@@ -174,47 +175,6 @@ let test_exec_cache_reparse_independent =
   Alcotest.(check string) "bypass output agrees" o1.Exec.oc_output
     o3.Exec.oc_output
 
-(* Pruning may not affect results, so it is excluded from the cache key:
-   a cached unpruned requirements outcome must be served to a pruned
-   request, and vice versa. *)
-let test_exec_cache_ignores_prune =
-  with_store_dir @@ fun store ->
-  let cfg = Server.config ~store () in
-  let spec () = Parser.parse_string spec_text in
-  let plain =
-    Exec.run cfg ~op:Exec.Requirements ~prune:false ~file:"a.fsa" (spec ())
-  in
-  Alcotest.(check bool) "unpruned run computes" false plain.Exec.oc_cached;
-  let pruned =
-    Exec.run cfg ~op:Exec.Requirements ~prune:true ~file:"a.fsa" (spec ())
-  in
-  Alcotest.(check bool) "pruned request served from cache" true
-    pruned.Exec.oc_cached;
-  Alcotest.(check string) "identical replay" plain.Exec.oc_output
-    pruned.Exec.oc_output;
-  (* other direction, against a fresh store *)
-  let dir = Test_store.tmp_dir () in
-  Fun.protect
-    ~finally:(fun () -> Test_store.rm_rf dir)
-    (fun () ->
-      let cfg2 = Server.config ~store:(Store.open_ ~dir ()) () in
-      let pruned2 =
-        Exec.run cfg2 ~op:Exec.Requirements ~prune:true ~file:"a.fsa"
-          (spec ())
-      in
-      Alcotest.(check bool) "pruned run computes" false pruned2.Exec.oc_cached;
-      let plain2 =
-        Exec.run cfg2 ~op:Exec.Requirements ~prune:false ~file:"a.fsa"
-          (spec ())
-      in
-      Alcotest.(check bool) "unpruned request served from cache" true
-        plain2.Exec.oc_cached;
-      Alcotest.(check string) "identical replay" pruned2.Exec.oc_output
-        plain2.Exec.oc_output;
-      (* the pruned computation and the unpruned one agree byte for byte *)
-      Alcotest.(check string) "pruned result equals unpruned" plain.Exec.oc_output
-        pruned2.Exec.oc_output)
-
 (* A state-space overflow reaches the caller as [Too_large] carrying the
    structural growth hint naming the runaway components. *)
 let test_too_large_hint () =
@@ -248,10 +208,26 @@ let test_exec_usage_errors () =
      ignore (Exec.run cfg ~op:Exec.Analyze ~sos:"nope" ~file:"a.fsa" spec);
      Alcotest.fail "unknown sos must raise"
    with Server.Usage_error _ -> ());
-  try
-    ignore (Exec.run cfg ~op:Exec.Abstract ~file:"a.fsa" spec);
-    Alcotest.fail "missing keep set must raise"
-  with Server.Usage_error _ -> ()
+  (try
+     ignore (Exec.run cfg ~op:Exec.Abstract ~file:"a.fsa" spec);
+     Alcotest.fail "missing keep set must raise"
+   with Server.Usage_error _ -> ());
+  (* a spec that declares models but no instances has no APA to
+     explore *)
+  match Test_check.spec_dir () with
+  | None -> ()
+  | Some dir ->
+    let spec =
+      Parser.parse_file (Filename.concat dir "evita_onboard.fsa")
+    in
+    List.iter
+      (fun op ->
+        try
+          ignore (Exec.run cfg ~op ~file:"evita_onboard.fsa" spec);
+          Alcotest.failf "%s on an instance-free spec must raise"
+            (Exec.op_to_string op)
+        with Server.Usage_error _ -> ())
+      [ Exec.Reach; Exec.Requirements ]
 
 (* ------------------------------------------------------------------ *)
 (* Sustained mixed traffic                                             *)
@@ -584,8 +560,6 @@ let suite =
     Alcotest.test_case "timeout reply" `Quick test_timeout_reply;
     Alcotest.test_case "exec cache ignores reparse" `Quick
       test_exec_cache_reparse_independent;
-    Alcotest.test_case "exec cache ignores prune" `Quick
-      test_exec_cache_ignores_prune;
     Alcotest.test_case "too large carries growth hint" `Quick
       test_too_large_hint;
     Alcotest.test_case "exec caches verify failures" `Quick

@@ -1,17 +1,11 @@
 (* Tests for Fsa_struct: exact kernel computation, invariant-derived
    bounds, siphon/trap enumeration and deadlock verdicts on hand-built
-   nets, the FSA041 unboundedness certificate, and the golden property
-   behind --prune-static: the tool path derives identical requirement
-   sets with and without static dependence pruning on every shipped
-   example. *)
+   nets, the FSA041 unboundedness certificate and the deep check pass
+   on every shipped example. *)
 
 module Term = Fsa_term.Term
 module Structural = Fsa_struct.Structural
 module Parser = Fsa_spec.Parser
-module Elaborate = Fsa_spec.Elaborate
-module Analysis = Fsa_core.Analysis
-module Auth = Fsa_requirements.Auth
-module Metrics = Fsa_obs.Metrics
 
 let const name = Term.app name []
 
@@ -189,55 +183,6 @@ let test_deep_examples_stay_info () =
       (Test_check.example_files dir)
 
 (* ------------------------------------------------------------------ *)
-(* Golden property: pruning never changes the derived requirements      *)
-(* ------------------------------------------------------------------ *)
-
-let test_prune_identical_on_examples () =
-  match Test_check.spec_dir () with
-  | None -> ()
-  | Some dir ->
-    let stakeholder = Fsa_vanet.Vehicle_apa.stakeholder in
-    let analysed = ref 0 in
-    List.iter
-      (fun path ->
-        match Elaborate.apa_of_spec (Parser.parse_file path) with
-        | exception (Fsa_spec.Loc.Error _ | Invalid_argument _) ->
-          () (* model-only spec, no instances *)
-        | apa ->
-          incr analysed;
-          let plain = Analysis.tool ~stakeholder apa in
-          let pruned = Analysis.tool ~prune:true ~stakeholder apa in
-          Alcotest.(check bool)
-            (path ^ ": requirement sets identical")
-            true
-            (Auth.equal_set plain.Analysis.t_requirements
-               pruned.Analysis.t_requirements);
-          Alcotest.(check int)
-            (path ^ ": same number of requirements")
-            (List.length plain.Analysis.t_requirements)
-            (List.length pruned.Analysis.t_requirements))
-      (Test_check.example_files dir);
-    Alcotest.(check bool) "at least one spec analysed" true (!analysed > 0)
-
-let test_prune_actually_skips () =
-  match Test_check.spec_dir () with
-  | None -> ()
-  | Some dir ->
-    let path = Filename.concat dir "four_vehicles.fsa" in
-    if Sys.file_exists path then begin
-      let apa = Elaborate.apa_of_spec (Parser.parse_file path) in
-      Metrics.set_enabled true;
-      Metrics.reset ();
-      ignore
-        (Analysis.tool ~prune:true
-           ~stakeholder:Fsa_vanet.Vehicle_apa.stakeholder apa);
-      let skipped = Metrics.counter_value Structural.pairs_pruned in
-      Metrics.set_enabled false;
-      Metrics.reset ();
-      Alcotest.(check bool) "pairs were pruned" true (skipped > 0)
-    end
-
-(* ------------------------------------------------------------------ *)
 (* Report plumbing                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -274,9 +219,5 @@ let suite =
     Alcotest.test_case "FSA041 certificate" `Quick test_fsa041_certificate;
     Alcotest.test_case "deep pass on examples stays info" `Quick
       test_deep_examples_stay_info;
-    Alcotest.test_case "pruning identical on examples" `Quick
-      test_prune_identical_on_examples;
-    Alcotest.test_case "pruning actually skips pairs" `Quick
-      test_prune_actually_skips;
     Alcotest.test_case "report json deterministic" `Quick
       test_report_json_deterministic ]
