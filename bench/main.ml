@@ -572,12 +572,6 @@ let benchmarks () =
               Hom.A.Dfa.determinize (Hom.image_nfa Hom.identity lts4)
             in
             fun () -> ignore (Hom.A.Dfa.minimize dfa)));
-      Test.make ~name:"minimize/moore/4-vehicles"
-        (Staged.stage
-           (let dfa =
-              Hom.A.Dfa.determinize (Hom.image_nfa Hom.identity lts4)
-            in
-            fun () -> ignore (Hom.A.Dfa.minimize_moore dfa)));
       Test.make ~name:"pattern/precedence/2-vehicles"
         (Staged.stage
            (let module Pattern = Fsa_mc.Pattern in

@@ -5,22 +5,12 @@
    Eilenberg).  This module provides the underlying machinery: NFAs with
    epsilon transitions (the result of applying an alphabetic language
    homomorphism to a reachability graph), subset construction, completion,
-   Hopcroft and Moore minimisation, language operations and decision
-   procedures. *)
+   minimisation, language operations and decision procedures.  Subset
+   construction and Hopcroft minimisation run in the integer {!Kernel};
+   this functor interns the label alphabet on the way in and rebuilds the
+   label-keyed automaton on the way out. *)
 
 module Int_set = Set.Make (Int)
-
-let log_src = Logs.Src.create "fsa.automata" ~doc:"finite-automata algorithms"
-
-module Log = (val Logs.src_log log_src)
-
-module Metrics = Fsa_obs.Metrics
-
-let m_minimize_runs = Metrics.counter "automata.minimize_runs"
-let m_refinement_rounds = Metrics.counter "automata.refinement_rounds"
-let m_hopcroft_splits = Metrics.counter "automata.hopcroft_splits"
-let g_minimize_in = Metrics.gauge "automata.minimize_states_in"
-let g_minimize_out = Metrics.gauge "automata.minimize_states_out"
 
 module type LABEL = sig
   type t
@@ -32,6 +22,17 @@ end
 module Make (L : LABEL) = struct
   module Lset = Set.Make (L)
   module Lmap = Map.Make (L)
+
+  (* Binary search in a sorted array of distinct labels. *)
+  let letter letters l =
+    let rec go lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        let c = L.compare l letters.(mid) in
+        if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
+    in
+    go 0 (Array.length letters)
 
   (* ---------------------------------------------------------------- *)
   (* Nondeterministic finite automata with epsilon transitions          *)
@@ -163,64 +164,66 @@ module Make (L : LABEL) = struct
     let nb_transitions t =
       Array.fold_left (fun acc m -> acc + Lmap.cardinal m) 0 t.delta
 
-    (* Subset construction.  Only reachable subsets are materialised. *)
-    let determinize (nfa : Nfa.t) =
-      let succ = Nfa.successors nfa in
-      let module Sm = Map.Make (Int_set) in
-      let start_set = Nfa.eps_closure_of succ (Nfa.start nfa) in
-      let index = ref (Sm.singleton start_set 0) in
-      let sets = ref [ start_set ] in
-      let nb = ref 1 in
-      let delta_acc = ref [] in
-      let queue = Queue.create () in
-      Queue.add (0, start_set) queue;
-      while not (Queue.is_empty queue) do
-        let id, set = Queue.pop queue in
-        let labels =
-          Int_set.fold
-            (fun s acc ->
-              List.fold_left
-                (fun acc (l, _) ->
-                  match l with None -> acc | Some l -> Lset.add l acc)
-                acc succ.(s))
-            set Lset.empty
-        in
-        let trans =
-          Lset.fold
-            (fun l acc ->
-              let target =
-                Nfa.eps_closure_of succ (Nfa.step_on succ set l)
-              in
-              if Int_set.is_empty target then acc
-              else
-                let tid =
-                  match Sm.find_opt target !index with
-                  | Some tid -> tid
-                  | None ->
-                    let tid = !nb in
-                    index := Sm.add target tid !index;
-                    sets := target :: !sets;
-                    incr nb;
-                    Queue.add (tid, target) queue;
-                    tid
-                in
-                Lmap.add l tid acc)
-            labels Lmap.empty
-        in
-        delta_acc := (id, trans) :: !delta_acc
-      done;
-      let nb_states = !nb in
-      let delta = Array.make nb_states Lmap.empty in
-      List.iter (fun (id, m) -> delta.(id) <- m) !delta_acc;
-      let finals =
-        List.fold_left
-          (fun acc set ->
-            let id = Sm.find set !index in
-            if Int_set.is_empty (Int_set.inter set (Nfa.finals nfa)) then acc
-            else Int_set.add id acc)
-          Int_set.empty !sets
+    (* The bridge to the integer kernel: letter [i] is [letters.(i)], a
+       sorted array of distinct labels, so ascending letter ids are
+       ascending labels and kernel output numbering is label-stable. *)
+    let letter_id letters l =
+      match letter letters l with
+      | -1 -> invalid_arg "Dfa: label outside the letter array"
+      | i -> i
+
+    let letters_of sigma = Array.of_seq (Lset.to_seq sigma)
+
+    let to_kernel ~letters t =
+      let k = Array.length letters in
+      let delta = Array.make (t.nb_states * k) (-1) in
+      Array.iteri
+        (fun s m ->
+          Lmap.iter (fun l d -> delta.((s * k) + letter_id letters l) <- d) m)
+        t.delta;
+      let final = Bytes.make t.nb_states '\000' in
+      Int_set.iter (fun s -> Bytes.set final s '\001') t.finals;
+      { Kernel.d_states = t.nb_states;
+        d_letters = k;
+        d_start = t.start;
+        d_final = final;
+        d_delta = delta }
+
+    let of_kernel ~letters (d : Kernel.dfa) =
+      let k = d.Kernel.d_letters in
+      let delta =
+        Array.init d.Kernel.d_states (fun s ->
+            let m = ref Lmap.empty in
+            for l = k - 1 downto 0 do
+              let t = d.Kernel.d_delta.((s * k) + l) in
+              if t >= 0 then m := Lmap.add letters.(l) t !m
+            done;
+            !m)
       in
-      create ~nb_states ~start:0 ~finals ~delta
+      let finals = ref Int_set.empty in
+      for s = d.Kernel.d_states - 1 downto 0 do
+        if Kernel.is_final d.Kernel.d_final s then
+          finals := Int_set.add s !finals
+      done;
+      create ~nb_states:d.Kernel.d_states ~start:d.Kernel.d_start
+        ~finals:!finals ~delta
+
+    let determinize (nfa : Nfa.t) =
+      let letters = letters_of (Nfa.alphabet nfa) in
+      let n = Nfa.nb_states nfa in
+      let final = Bytes.make n '\000' in
+      Int_set.iter (fun s -> Bytes.set final s '\001') (Nfa.finals nfa);
+      let k =
+        Kernel.of_edges ~nb_states:n ~nb_letters:(Array.length letters)
+          ~starts:(Array.of_list (Int_set.elements (Nfa.start nfa)))
+          ~final
+          (fun f ->
+            List.iter
+              (fun (s, l, d) ->
+                f s (match l with None -> -1 | Some l -> letter_id letters l) d)
+              (Nfa.edges nfa))
+      in
+      of_kernel ~letters (Kernel.determinize k)
 
     (* Restrict to states reachable from the start and co-reachable to a
        final state (trim); preserves the language. *)
@@ -304,246 +307,9 @@ module Make (L : LABEL) = struct
           ~delta
       end
 
-    (* Moore minimisation: iterated partition refinement by successor
-       blocks.  Runs on the completed automaton, then trims the sink. *)
-    let minimize_moore t =
-      let t = trim t in
-      let sigma = alphabet t in
-      let t = complete ~alphabet:sigma t in
-      let n = t.nb_states in
-      let block = Array.init n (fun s -> if is_final t s then 1 else 0) in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        if Metrics.enabled () then Metrics.incr m_refinement_rounds;
-        (* signature of a state: its block plus successor blocks *)
-        let module Sig = Map.Make (struct
-          type t = int * (int option) list
-
-          let compare = Stdlib.compare
-        end) in
-        let signature s =
-          ( block.(s),
-            Lset.fold
-              (fun l acc ->
-                (match step t s l with
-                 | Some d -> Some block.(d)
-                 | None -> None)
-                :: acc)
-              sigma [] )
-        in
-        let index = ref Sig.empty in
-        let next = Array.make n 0 in
-        let nb = ref 0 in
-        for s = 0 to n - 1 do
-          let g = signature s in
-          match Sig.find_opt g !index with
-          | Some b -> next.(s) <- b
-          | None ->
-            index := Sig.add g !nb !index;
-            next.(s) <- !nb;
-            incr nb
-        done;
-        if next <> block then begin
-          Array.blit next 0 block 0 n;
-          changed := true
-        end
-      done;
-      let nb = Array.fold_left (fun acc b -> max acc (b + 1)) 0 block in
-      let delta = Array.make nb Lmap.empty in
-      Array.iteri
-        (fun s m ->
-          delta.(block.(s)) <-
-            Lmap.fold (fun l d acc -> Lmap.add l block.(d) acc) m delta.(block.(s)))
-        t.delta;
-      let finals =
-        Int_set.fold
-          (fun s acc -> Int_set.add block.(s) acc)
-          t.finals Int_set.empty
-      in
-      trim (create ~nb_states:nb ~start:block.(t.start) ~finals ~delta)
-
-    (* Hopcroft's minimisation with an indexed-partition refinement
-       structure: the partition is a permutation array with per-block
-       ranges, splits move marked states to the front of their block's
-       range, and the "process the smaller half" rule bounds the work at
-       O(n log n) block movements per letter. *)
     let minimize t =
-      let obs = Metrics.enabled () in
-      if obs then begin
-        Metrics.incr m_minimize_runs;
-        Metrics.set_gauge g_minimize_in (float_of_int t.nb_states)
-      end;
-      let t = trim t in
-      let sigma = alphabet t in
-      let t = complete ~alphabet:sigma t in
-      let n = t.nb_states in
-      if n = 0 then t
-      else begin
-        let labels = Array.of_seq (Lset.to_seq sigma) in
-        let nl = Array.length labels in
-        (* reverse transitions per label index *)
-        let label_index =
-          let m = ref Lmap.empty in
-          Array.iteri (fun i l -> m := Lmap.add l i !m) labels;
-          !m
-        in
-        let rev = Array.make_matrix nl n [] in
-        Array.iteri
-          (fun s m ->
-            Lmap.iter
-              (fun l d ->
-                let li = Lmap.find l label_index in
-                rev.(li).(d) <- s :: rev.(li).(d))
-              m)
-          t.delta;
-        (* indexed partition *)
-        let elems = Array.init n Fun.id in
-        let loc = Array.init n Fun.id in
-        let block_of = Array.make n 0 in
-        let block_start = Array.make n 0 in
-        let block_size = Array.make n 0 in
-        let nb_blocks = ref 0 in
-        let marked = Array.make n 0 in  (* per block: number marked *)
-        (* initial partition: finals / non-finals *)
-        let finals = Array.make n false in
-        Int_set.iter (fun s -> finals.(s) <- true) t.finals;
-        let place pred start =
-          let count = ref 0 in
-          for s = 0 to n - 1 do
-            if pred s then begin
-              let pos = start + !count in
-              elems.(pos) <- s;
-              loc.(s) <- pos;
-              incr count
-            end
-          done;
-          !count
-        in
-        let nf = place (fun s -> finals.(s)) 0 in
-        let _ = place (fun s -> not finals.(s)) nf in
-        if nf > 0 then begin
-          let b = !nb_blocks in
-          incr nb_blocks;
-          block_start.(b) <- 0;
-          block_size.(b) <- nf;
-          for i = 0 to nf - 1 do
-            block_of.(elems.(i)) <- b
-          done
-        end;
-        if nf < n then begin
-          let b = !nb_blocks in
-          incr nb_blocks;
-          block_start.(b) <- nf;
-          block_size.(b) <- n - nf;
-          for i = nf to n - 1 do
-            block_of.(elems.(i)) <- b
-          done
-        end;
-        (* worklist of (block, letter) with membership flags *)
-        let in_work = Array.make_matrix n nl false in
-        let work = Queue.create () in
-        let push b li =
-          if not in_work.(b).(li) then begin
-            in_work.(b).(li) <- true;
-            Queue.add (b, li) work
-          end
-        in
-        for b = 0 to !nb_blocks - 1 do
-          for li = 0 to nl - 1 do
-            push b li
-          done
-        done;
-        (* mark a state inside its block: swap it into the marked prefix *)
-        let touched = ref [] in
-        let mark s =
-          let b = block_of.(s) in
-          let m = marked.(b) in
-          let pos = loc.(s) in
-          let boundary = block_start.(b) + m in
-          if pos >= boundary then begin
-            if m = 0 then touched := b :: !touched;
-            let other = elems.(boundary) in
-            elems.(boundary) <- s;
-            elems.(pos) <- other;
-            loc.(s) <- boundary;
-            loc.(other) <- pos;
-            marked.(b) <- m + 1
-          end
-        in
-        while not (Queue.is_empty work) do
-          let a_block, li = Queue.pop work in
-          in_work.(a_block).(li) <- false;
-          (* X = predecessors on label li of states in a_block *)
-          touched := [];
-          let astart = block_start.(a_block)
-          and asize = block_size.(a_block) in
-          (* collect first: marking reorders elems within blocks only, and
-             a_block itself may be split, so snapshot its members *)
-          let members = Array.sub elems astart asize in
-          Array.iter (fun s -> List.iter mark rev.(li).(s)) members;
-          (* split every touched block *)
-          List.iter
-            (fun b ->
-              let m = marked.(b) in
-              marked.(b) <- 0;
-              if m > 0 && m < block_size.(b) then begin
-                if obs then Metrics.incr m_hopcroft_splits;
-                (* new block: the marked prefix or the remainder, whichever
-                   is smaller *)
-                let nb = !nb_blocks in
-                incr nb_blocks;
-                let small_is_prefix = m <= block_size.(b) - m in
-                if small_is_prefix then begin
-                  block_start.(nb) <- block_start.(b);
-                  block_size.(nb) <- m;
-                  block_start.(b) <- block_start.(b) + m;
-                  block_size.(b) <- block_size.(b) - m
-                end
-                else begin
-                  block_start.(nb) <- block_start.(b) + m;
-                  block_size.(nb) <- block_size.(b) - m;
-                  block_size.(b) <- m
-                end;
-                for i = block_start.(nb) to block_start.(nb) + block_size.(nb) - 1
-                do
-                  block_of.(elems.(i)) <- nb
-                done;
-                (* enqueue the (smaller) new part for every letter; a
-                   pending (b, c) stays pending, which keeps the
-                   refinement correct and at most doubles the work *)
-                for c = 0 to nl - 1 do
-                  push nb c
-                done
-              end)
-            !touched
-        done;
-        (* build the quotient *)
-        let delta = Array.make !nb_blocks Lmap.empty in
-        Array.iteri
-          (fun s m ->
-            let bs = block_of.(s) in
-            delta.(bs) <-
-              Lmap.fold (fun l d acc -> Lmap.add l block_of.(d) acc) m delta.(bs))
-          t.delta;
-        let finals_q =
-          Int_set.fold
-            (fun s acc -> Int_set.add block_of.(s) acc)
-            t.finals Int_set.empty
-        in
-        let result =
-          trim
-            (create ~nb_states:!nb_blocks ~start:block_of.(t.start)
-               ~finals:finals_q ~delta)
-        in
-        if obs then
-          Metrics.set_gauge g_minimize_out (float_of_int result.nb_states);
-        Log.debug (fun m ->
-            m "hopcroft: minimised %d -> %d states over %d letters" n
-              result.nb_states nl);
-        result
-      end
-
+      let letters = letters_of (alphabet t) in
+      of_kernel ~letters (Kernel.minimize (to_kernel ~letters t))
 
     let is_empty t =
       let t = trim t in
@@ -760,103 +526,4 @@ module Make (L : LABEL) = struct
         (transitions t)
   end
 
-  (* Project a DFA through an alphabetic homomorphism on its labels:
-     [None] turns the edge into an epsilon transition, [Some l'] relabels
-     it.  The result recognises the homomorphic image of the DFA's
-     language, so chaining [relabel] with subset construction and
-     minimisation answers any coarser abstraction from an
-     already-minimised intermediate automaton instead of from the
-     original behaviour — the basis of the shared multi-pair
-     abstraction engine. *)
-  let relabel (h : L.t -> L.t option) (dfa : Dfa.t) : Nfa.t =
-    let edges =
-      List.rev_map (fun (s, l, d) -> (s, h l, d)) (Dfa.transitions dfa)
-    in
-    Nfa.create ~nb_states:(Dfa.nb_states dfa)
-      ~start:(Int_set.singleton (Dfa.start dfa))
-      ~finals:(Dfa.finals dfa) ~edges
-
-  (* Subset construction specialised to projecting an already
-     deterministic automaton: same language as
-     [Dfa.determinize (relabel h dfa)], but subsets are bitsets over the
-     source states instead of [Int_set], so the epsilon closures that
-     dominate the generic construction on a large source become linear
-     array walks.  This is what makes per-pair projections from a
-     many-thousand-state shared quotient cheap enough to run once per
-     derived requirement. *)
-  let project (h : L.t -> L.t option) (dfa : Dfa.t) : Dfa.t =
-    let n = Dfa.nb_states dfa in
-    (* per-state successors, split once into erased and relabelled *)
-    let eps = Array.make n [] in
-    let lab = Array.make n [] in
-    Array.iteri
-      (fun s m ->
-        Lmap.iter
-          (fun l d ->
-            match h l with
-            | None -> eps.(s) <- d :: eps.(s)
-            | Some l' -> lab.(s) <- (l', d) :: lab.(s))
-          m)
-      (Dfa.delta dfa);
-    let final = Array.make n false in
-    Int_set.iter (fun s -> final.(s) <- true) (Dfa.finals dfa);
-    let nbytes = (n + 7) / 8 in
-    (* epsilon closure of [seeds]: hashable bitset key, members, finality *)
-    let closure seeds =
-      let bits = Bytes.make nbytes '\000' in
-      let members = ref [] in
-      let is_final = ref false in
-      let rec visit s =
-        let i = s lsr 3 and m = 1 lsl (s land 7) in
-        let b = Char.code (Bytes.unsafe_get bits i) in
-        if b land m = 0 then begin
-          Bytes.unsafe_set bits i (Char.unsafe_chr (b lor m));
-          members := s :: !members;
-          if final.(s) then is_final := true;
-          List.iter visit eps.(s)
-        end
-      in
-      List.iter visit seeds;
-      (Bytes.unsafe_to_string bits, !members, !is_final)
-    in
-    let index : (string, int) Hashtbl.t = Hashtbl.create 16 in
-    let finals_acc = ref Int_set.empty in
-    let nb = ref 0 in
-    let queue = Queue.create () in
-    let intern (key, members, fin) =
-      match Hashtbl.find_opt index key with
-      | Some id -> id
-      | None ->
-        let id = !nb in
-        incr nb;
-        Hashtbl.add index key id;
-        if fin then finals_acc := Int_set.add id !finals_acc;
-        Queue.add (id, members) queue;
-        id
-    in
-    let start = intern (closure [ Dfa.start dfa ]) in
-    let delta_acc = ref [] in
-    while not (Queue.is_empty queue) do
-      let id, members = Queue.pop queue in
-      let seeds =
-        List.fold_left
-          (fun acc s ->
-            List.fold_left
-              (fun acc (l', d) ->
-                Lmap.update l'
-                  (function None -> Some [ d ] | Some ds -> Some (d :: ds))
-                  acc)
-              acc lab.(s))
-          Lmap.empty members
-      in
-      let trans =
-        Lmap.fold
-          (fun l' ds acc -> Lmap.add l' (intern (closure ds)) acc)
-          seeds Lmap.empty
-      in
-      delta_acc := (id, trans) :: !delta_acc
-    done;
-    let delta = Array.make !nb Lmap.empty in
-    List.iter (fun (id, m) -> delta.(id) <- m) !delta_acc;
-    Dfa.create ~nb_states:!nb ~start ~finals:!finals_acc ~delta
 end

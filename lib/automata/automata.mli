@@ -2,8 +2,9 @@
 
     Machinery behind the SH verification tool's minimal-automaton
     computation: NFAs with epsilon transitions (homomorphic images of
-    reachability graphs), subset construction, Hopcroft and Moore
-    minimisation, language operations and decision procedures. *)
+    reachability graphs), subset construction, Hopcroft minimisation,
+    language operations and decision procedures.  Subset construction
+    and minimisation run in the integer {!Kernel}. *)
 
 module Int_set : Set.S with type elt = int
 
@@ -17,6 +18,10 @@ end
 module Make (L : LABEL) : sig
   module Lset : Set.S with type elt = L.t
   module Lmap : Map.S with type key = L.t
+
+  val letter : L.t array -> L.t -> int
+  (** [letter letters l]: the kernel letter id of [l] — its index in
+      [letters], a sorted array of distinct labels — or [-1]. *)
 
   module Nfa : sig
     type t
@@ -61,7 +66,8 @@ module Make (L : LABEL) : sig
     val nb_transitions : t -> int
 
     val determinize : Nfa.t -> t
-    (** Subset construction (reachable subsets only). *)
+    (** Subset construction (reachable subsets only), numbered in
+        breadth-first discovery order with successors in label order. *)
 
     val trim : t -> t
     (** Remove states that are unreachable or cannot reach a final state. *)
@@ -71,9 +77,6 @@ module Make (L : LABEL) : sig
 
     val minimize : t -> t
     (** Hopcroft's partition refinement; result is trim. *)
-
-    val minimize_moore : t -> t
-    (** Moore's iterated refinement; for cross-checking [minimize]. *)
 
     val is_empty : t -> bool
     val intersection : t -> t -> t
@@ -99,22 +102,13 @@ module Make (L : LABEL) : sig
 
     val dot : ?name:string -> ?state_label:(int -> string) -> t -> string
     val pp : t Fmt.t
+
+    val to_kernel : letters:L.t array -> t -> Kernel.dfa
+    (** The kernel form over [letters] (sorted, distinct; letter [i] is
+        [letters.(i)]).
+        @raise Invalid_argument on a label outside [letters]. *)
+
+    val of_kernel : letters:L.t array -> Kernel.dfa -> t
+    (** The label-keyed form of a kernel DFA over [letters]. *)
   end
-
-  val relabel : (L.t -> L.t option) -> Dfa.t -> Nfa.t
-  (** Project a DFA through an alphabetic homomorphism on its labels:
-      [None] erases the edge to an epsilon transition, [Some l']
-      relabels it.  The NFA recognises the image of the DFA's language,
-      so [Dfa.minimize (Dfa.determinize (relabel h dfa))] is the minimal
-      automaton of the coarser abstraction — computed from [dfa] instead
-      of from the original behaviour. *)
-
-  val project : (L.t -> L.t option) -> Dfa.t -> Dfa.t
-  (** [project h dfa] accepts the same language as
-      [Dfa.determinize (relabel h dfa)], via a subset construction that
-      represents subsets as bitsets over the source states — linear-time
-      epsilon closures instead of the generic [Int_set] ones, which is
-      what keeps per-pair projections from a many-thousand-state shared
-      quotient cheap.  The result is deterministic but not minimal;
-      follow with {!Dfa.minimize}. *)
 end

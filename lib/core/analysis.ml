@@ -450,8 +450,8 @@ let tool ?(max_states = 1_000_000) ?reduce ?quotient_cache ?progress
           Option.bind quotient_cache (fun qc -> qc.qc_find ~alphabet:alist)
         in
         let e =
-          Hom.Shared.build ?dfa ~alphabet ~minima:surviving_minima
-            ~maxima:surviving_maxima lts
+          Hom.Shared.build ?dfa ~max_states ?progress ~alphabet
+            ~minima:surviving_minima ~maxima:surviving_maxima lts
         in
         (match quotient_cache with
         | Some qc when not (Hom.Shared.cached e) ->

@@ -178,7 +178,11 @@ val tool :
     With observability enabled ({!Fsa_obs.Metrics.set_enabled}), each
     pipeline phase runs inside its own span ([tool.explore],
     [tool.min_max], [tool.dependence_matrix], [tool.derive]);
-    [progress] is threaded through the state-space exploration.
+    [progress] is threaded through the state-space exploration and the
+    shared abstraction's subset construction and minimisation, so a
+    progress callback that raises (the server's request deadline) stops
+    either.  [max_states] also bounds the subsets the shared
+    determinisation may materialise ([Lts.State_space_too_large]).
 
     [quotient_cache] lets the caller persist/reuse the shared quotient
     across runs (see {!quotient_cache}); a cache hit skips the

@@ -33,6 +33,8 @@ module Action_label = struct
 end
 
 module A = Fsa_automata.Automata.Make (Action_label)
+module K = Fsa_automata.Kernel
+module Progress = Fsa_obs.Progress
 
 (* An alphabetic homomorphism: [None] maps the action to the empty word. *)
 type t = Action.t -> Action.t option
@@ -139,11 +141,66 @@ let image_nfa (h : t) lts =
     ~start:(Fsa_automata.Automata.Int_set.singleton (Lts.initial lts))
     ~finals:all ~edges
 
-(* The minimal deterministic automaton of the homomorphic image. *)
+(* [letter] memoised on physically equal labels: exploration builds each
+   rule's default label once, so a graph carries about one label value
+   per rule.  A direct-mapped cache on the label name's hash; a slot
+   collision just recomputes. *)
+let memo_letter (letter : Action.t -> int) =
+  let size = 256 in
+  let keys = Array.make size (Action.make "") and ids = Array.make size 0 in
+  fun a ->
+    let i = Hashtbl.hash (Action.label a) land (size - 1) in
+    if keys.(i) == a then ids.(i)
+    else begin
+      let id = letter a in
+      keys.(i) <- a;
+      ids.(i) <- id;
+      id
+    end
+
+(* Erase a behaviour straight into the kernel's CSR form: [letter] gives
+   each label's letter id, [-1] erasing it.  The edges of a state keep
+   their [Lts.succ] order; every state accepts. *)
+let erase ~nb_letters letter lts =
+  let letter = memo_letter letter in
+  let n = Lts.nb_states lts in
+  let off = Array.make (n + 1) 0 in
+  for s = 0 to n - 1 do
+    off.(s + 1) <- off.(s) + List.length (Lts.succ lts s)
+  done;
+  let lab = Array.make off.(n) 0 and dst = Array.make off.(n) 0 in
+  for s = 0 to n - 1 do
+    List.iteri
+      (fun i tr ->
+        lab.(off.(s) + i) <- letter tr.Lts.t_label;
+        dst.(off.(s) + i) <- tr.Lts.t_dst)
+      (Lts.succ lts s)
+  done;
+  { K.nb_states = n;
+    nb_letters;
+    off;
+    lab;
+    dst;
+    starts = [| Lts.initial lts |];
+    final = Bytes.make n '\001' }
+
+let letters_of set = Array.of_list (Action.Set.elements set)
+
+(* The minimal deterministic automaton of the homomorphic image, over
+   the image letters in label order. *)
 let minimal_automaton (h : t) lts =
   Span.with_ ~cat:"hom" "hom.minimal_automaton" @@ fun () ->
   Metrics.incr m_minimal_automata;
-  let dfa = A.Dfa.minimize (A.Dfa.determinize (image_nfa h lts)) in
+  let letters =
+    letters_of
+      (Action.Set.fold
+         (fun a acc ->
+           match h a with Some b -> Action.Set.add b acc | None -> acc)
+         (Lts.alphabet lts) Action.Set.empty)
+  in
+  let letter a = match h a with Some b -> A.letter letters b | None -> -1 in
+  let nfa = erase ~nb_letters:(Array.length letters) letter lts in
+  let dfa = A.Dfa.of_kernel ~letters (K.minimize (K.determinize nfa)) in
   Log.debug (fun m ->
       m "minimal automaton of %s image: %d states, %d transitions"
         (Lts.name lts) (A.Dfa.nb_states dfa) (A.Dfa.nb_transitions dfa));
@@ -246,24 +303,18 @@ module Shared = struct
     sb_early_ns : int64;
   }
 
-  (* Interned view of the shared quotient for per-pair projections:
-     letters as dense ids, per-state successors as flat arrays.  Built
-     once per engine on first use, after which each projection is a
-     bitset subset construction whose hot path compares ints only — no
-     [Action] comparisons, no per-pair edge re-classification. *)
-  type proj_index = {
-    px_ids : int Action.Map.t;  (* letter -> dense id *)
-    px_succ : (int * int) array array;  (* state -> [(letter id, dst)] *)
-    px_final : bool array;
-  }
-
+  (* The shared quotient lives in kernel form over the engine's letters
+     (the alphabet in label order): verdicts and per-pair projections
+     work on its flat transition table.  [sh_dfa] is the label-keyed
+     form handed out at the API boundary (cache, reports, tracer). *)
   type engine = {
     sh_alphabet : Action.Set.t;
+    sh_letters : Action.t array;
+    sh_quotient : K.dfa;
     sh_dfa : A.Dfa.t;
     sh_cached : bool;
     sh_timing : build_timing;
     sh_early : Pair_set.t;
-    mutable sh_proj : proj_index option;
   }
 
   let zero_timing =
@@ -283,20 +334,18 @@ module Shared = struct
      propagated along each edge minus the edge's own label.  A pair
      (mn, mx) is independent iff some mx-edge leaves a state whose
      avoid-set contains mn.  The "dependent" direction is never decided
-     early: it is a property of all paths and needs the full image. *)
-  let early_pass ~minima ~maxima lts =
+     early: it is a property of all paths and needs the full image.
+     Runs on the erased graph: minima and maxima are letters of it. *)
+  let early_pass ~letters ~minima ~maxima (g : K.nfa) =
     let mins = Array.of_list minima in
     let k = Array.length mins in
     if k = 0 || maxima = [] then Pair_set.empty
     else begin
-      let min_index =
-        let m = ref Action.Map.empty in
-        Array.iteri (fun i a -> m := Action.Map.add a i !m) mins;
-        !m
-      in
+      let min_bit = Array.make g.K.nb_letters (-1) in
+      Array.iteri (fun i a -> min_bit.(A.letter letters a) <- i) mins;
       let bits_per_word = 62 in
       let words = (k + bits_per_word - 1) / bits_per_word in
-      let n = Lts.nb_states lts in
+      let n = g.K.nb_states in
       (* avoid is a flattened [n] x [words] bit matrix *)
       let avoid = Array.make (n * words) 0 in
       let full_word = (1 lsl bits_per_word) - 1 in
@@ -304,99 +353,125 @@ module Shared = struct
         let r = k mod bits_per_word in
         if r = 0 then full_word else (1 lsl r) - 1
       in
-      let init = Lts.initial lts in
+      let init = g.K.starts.(0) in
       for w = 0 to words - 1 do
         avoid.((init * words) + w) <-
           (if w = words - 1 then last_mask else full_word)
       done;
-      let succ = Lts.succ lts in
-      let queue = Queue.create () in
+      (* FIFO worklist in a ring buffer: a state is queued at most once
+         at a time *)
+      let queue = Array.make n 0 and head = ref 0 and len = ref 0 in
       let queued = Bytes.make n '\000' in
-      Queue.add init queue;
-      Bytes.set queued init '\001';
-      while not (Queue.is_empty queue) do
-        let s = Queue.pop queue in
+      let enqueue s =
+        Bytes.set queued s '\001';
+        queue.((!head + !len) mod n) <- s;
+        incr len
+      in
+      enqueue init;
+      while !len > 0 do
+        let s = queue.(!head) in
+        head := (!head + 1) mod n;
+        decr len;
         Bytes.set queued s '\000';
-        List.iter
-          (fun tr ->
-            let d = tr.Lts.t_dst in
-            let label_bit = Action.Map.find_opt tr.Lts.t_label min_index in
-            let changed = ref false in
-            for w = 0 to words - 1 do
-              let contrib =
-                let v = avoid.((s * words) + w) in
-                match label_bit with
-                | Some b when b / bits_per_word = w ->
-                  v land lnot (1 lsl (b mod bits_per_word))
-                | _ -> v
-              in
-              let cur = avoid.((d * words) + w) in
-              let merged = cur lor contrib in
-              if merged <> cur then begin
-                avoid.((d * words) + w) <- merged;
-                changed := true
-              end
-            done;
-            if !changed && Bytes.get queued d = '\000' then begin
-              Bytes.set queued d '\001';
-              Queue.add d queue
-            end)
-          (succ s)
+        for e = g.K.off.(s) to g.K.off.(s + 1) - 1 do
+          let d = g.K.dst.(e) and l = g.K.lab.(e) in
+          let b = if l >= 0 then min_bit.(l) else -1 in
+          let changed = ref false in
+          for w = 0 to words - 1 do
+            let v = avoid.((s * words) + w) in
+            let contrib =
+              if b >= 0 && b / bits_per_word = w then
+                v land lnot (1 lsl (b mod bits_per_word))
+              else v
+            in
+            let cur = avoid.((d * words) + w) in
+            let merged = cur lor contrib in
+            if merged <> cur then begin
+              avoid.((d * words) + w) <- merged;
+              changed := true
+            end
+          done;
+          if !changed && Bytes.get queued d = '\000' then enqueue d
+        done
       done;
-      let maxima_set = Action.Set.of_list maxima in
-      Lts.fold_transitions
-        (fun tr acc ->
-          if Action.Set.mem tr.Lts.t_label maxima_set then begin
-            let s = tr.Lts.t_src in
-            let acc = ref acc in
+      let is_max = Array.make g.K.nb_letters false in
+      List.iter (fun a -> is_max.(A.letter letters a) <- true) maxima;
+      let acc = ref Pair_set.empty in
+      for s = 0 to n - 1 do
+        for e = g.K.off.(s) to g.K.off.(s + 1) - 1 do
+          let l = g.K.lab.(e) in
+          if l >= 0 && is_max.(l) then
             for i = 0 to k - 1 do
               let w = i / bits_per_word and b = i mod bits_per_word in
               if avoid.((s * words) + w) land (1 lsl b) <> 0 then
-                acc := Pair_set.add (mins.(i), tr.Lts.t_label) !acc
-            done;
-            !acc
-          end
-          else acc)
-        lts Pair_set.empty
+                acc := Pair_set.add (mins.(i), letters.(l)) !acc
+            done
+        done
+      done;
+      !acc
     end
 
   (* Build the engine: erase the behaviour once to the union alphabet,
-     determinise and minimise the shared image, and run the on-the-fly
-     early-decision pass over the graph.  With [?dfa] (a cache hit for
-     the shared quotient) the graph is not walked at all — every pair is
-     then decided on the shared DFA, which returns the same verdicts. *)
-  let build ?dfa ~alphabet ~minima ~maxima lts =
+     determinise and minimise the shared image in the kernel, and run
+     the on-the-fly early-decision pass over the erased graph.  With
+     [?dfa] (a cache hit for the shared quotient) the graph is not
+     walked at all — every pair is then decided on the shared DFA, which
+     returns the same verdicts. *)
+  let build ?dfa ?(max_states = max_int) ?progress ~alphabet ~minima ~maxima
+      lts =
     Metrics.incr m_shared_builds;
     match dfa with
     | Some d ->
+      let letters = letters_of
+          (A.Lset.fold Action.Set.add (A.Dfa.alphabet d) alphabet) in
       { sh_alphabet = alphabet;
+        sh_letters = letters;
+        sh_quotient = A.Dfa.to_kernel ~letters d;
         sh_dfa = d;
         sh_cached = true;
         sh_timing = zero_timing;
-        sh_early = Pair_set.empty;
-        sh_proj = None }
+        sh_early = Pair_set.empty }
     | None ->
       Span.with_ ~cat:"hom" "hom.shared_build" @@ fun () ->
-      let h = preserve (Action.Set.elements alphabet) in
+      let letters = letters_of alphabet in
+      let in_alphabet a = Action.Set.mem a alphabet in
+      let minima = List.filter in_alphabet minima
+      and maxima = List.filter in_alphabet maxima in
+      (* progress continues the exploration's count: one tick per
+         materialised subset and per Hopcroft batch *)
+      let base = Lts.nb_states lts and work = ref 0 in
+      let tick =
+        Option.map
+          (fun p ~frontier ->
+            incr work;
+            Progress.tick p ~count:(base + !work) ~frontier)
+          progress
+      in
       let t0 = Span.now_ns () in
-      let nfa = image_nfa h lts in
+      let g = erase ~nb_letters:(Array.length letters) (A.letter letters) lts in
       let t1 = Span.now_ns () in
-      let det = A.Dfa.determinize nfa in
+      let det =
+        try K.determinize ~max_states ?tick g
+        with K.Too_many_states n -> raise (Lts.State_space_too_large n)
+      in
       let t2 = Span.now_ns () in
-      let d = A.Dfa.minimize det in
+      let q = K.minimize ?tick det in
       let t3 = Span.now_ns () in
-      let early = early_pass ~minima ~maxima lts in
+      let early = early_pass ~letters ~minima ~maxima g in
       let t4 = Span.now_ns () in
+      let d = A.Dfa.of_kernel ~letters q in
       Metrics.incr ~by:(Pair_set.cardinal early) m_early_decisions;
       Log.debug (fun m ->
           m
-            "shared abstraction of %s: |alphabet|=%d, %d states, %d \
-             transitions, %d pairs decided early"
+            "shared abstraction of %s: |alphabet|=%d, %d subsets, %d states, \
+             %d transitions, %d pairs decided early"
             (Lts.name lts)
             (Action.Set.cardinal alphabet)
-            (A.Dfa.nb_states d) (A.Dfa.nb_transitions d)
+            det.K.d_states (A.Dfa.nb_states d) (A.Dfa.nb_transitions d)
             (Pair_set.cardinal early));
       { sh_alphabet = alphabet;
+        sh_letters = letters;
+        sh_quotient = q;
         sh_dfa = d;
         sh_cached = false;
         sh_timing =
@@ -404,13 +479,13 @@ module Shared = struct
             sb_determinise_ns = Int64.sub t2 t1;
             sb_minimise_ns = Int64.sub t3 t2;
             sb_early_ns = Int64.sub t4 t3 };
-        sh_early = early;
-        sh_proj = None }
+        sh_early = early }
 
   let alphabet e = e.sh_alphabet
   let dfa e = e.sh_dfa
   let cached e = e.sh_cached
   let timing e = e.sh_timing
+  let early e = e.sh_early
   let early_count e = Pair_set.cardinal e.sh_early
 
   let check_pair e ~min_action ~max_action =
@@ -423,6 +498,31 @@ module Shared = struct
         (Fmt.str "Hom.Shared: pair (%a, %a) outside the shared alphabet"
            Action.pp min_action Action.pp max_action)
 
+  (* [dfa_has_target_before_avoid] on the quotient's transition table. *)
+  let target_before_avoid (q : K.dfa) ~avoid ~target =
+    let k = q.K.d_letters in
+    let seen = Bytes.make q.K.d_states '\000' in
+    let stack = Array.make q.K.d_states 0 and sp = ref 0 in
+    let push s =
+      if Bytes.get seen s = '\000' then begin
+        Bytes.set seen s '\001';
+        stack.(!sp) <- s;
+        incr sp
+      end
+    in
+    push q.K.d_start;
+    let hit = ref false in
+    while (not !hit) && !sp > 0 do
+      decr sp;
+      let s = stack.(!sp) in
+      for l = 0 to k - 1 do
+        let d = q.K.d_delta.((s * k) + l) in
+        if d >= 0 then
+          if l = target then hit := true else if l <> avoid then push d
+      done
+    done;
+    !hit
+
   let depends_timed e ~min_action ~max_action =
     check_pair e ~min_action ~max_action;
     Metrics.incr m_dependence_tests;
@@ -431,8 +531,9 @@ module Shared = struct
       if Pair_set.mem (min_action, max_action) e.sh_early then false
       else
         not
-          (dfa_has_target_before_avoid e.sh_dfa ~avoid:min_action
-             ~target:max_action)
+          (target_before_avoid e.sh_quotient
+             ~avoid:(A.letter e.sh_letters min_action)
+             ~target:(A.letter e.sh_letters max_action))
     in
     let t1 = Span.now_ns () in
     ( dep,
@@ -449,118 +550,15 @@ module Shared = struct
   (* The pair's minimal automaton, projected from the shared quotient
      instead of recomputed from the behaviour — isomorphic to
      [minimal_automaton (preserve [min; max]) lts] by h_p = h_p . h_U
-     and uniqueness of the minimal DFA. *)
-  let proj_index e =
-    match e.sh_proj with
-    | Some px -> px
-    | None ->
-      let d = e.sh_dfa in
-      let module IS = Fsa_automata.Automata.Int_set in
-      let ids = ref Action.Map.empty in
-      let nb = ref 0 in
-      let id_of l =
-        match Action.Map.find_opt l !ids with
-        | Some i -> i
-        | None ->
-          let i = !nb in
-          incr nb;
-          ids := Action.Map.add l i !ids;
-          i
-      in
-      let succ =
-        Array.map
-          (fun m ->
-            Array.of_list
-              (A.Lmap.fold (fun l dst acc -> (id_of l, dst) :: acc) m []))
-          (A.Dfa.delta d)
-      in
-      let final = Array.make (A.Dfa.nb_states d) false in
-      IS.iter (fun s -> final.(s) <- true) (A.Dfa.finals d);
-      let px = { px_ids = !ids; px_succ = succ; px_final = final } in
-      e.sh_proj <- Some px;
-      px
-
-  (* The pair projection of the shared quotient, before minimisation:
-     the same subset construction as [A.project (preserve [min; max])]
-     but over the interned {!proj_index}, so the epsilon closures — the
-     per-pair hot path — compare dense letter ids instead of actions.
-     A pair letter absent from the quotient's transitions gets id [-1],
-     which matches no edge: exactly the semantics of an unexercised
-     letter. *)
-  let project_pair e ~min_action ~max_action =
-    let px = proj_index e in
-    let module IS = Fsa_automata.Automata.Int_set in
-    let lid a =
-      match Action.Map.find_opt a px.px_ids with Some i -> i | None -> -1
-    in
-    let mn = lid min_action and mx = lid max_action in
-    let n = Array.length px.px_succ in
-    let nbytes = (n + 7) / 8 in
-    let closure seeds =
-      let bits = Bytes.make nbytes '\000' in
-      let members = ref [] in
-      let is_final = ref false in
-      let rec visit s =
-        let i = s lsr 3 and m = 1 lsl (s land 7) in
-        let b = Char.code (Bytes.unsafe_get bits i) in
-        if b land m = 0 then begin
-          Bytes.unsafe_set bits i (Char.unsafe_chr (b lor m));
-          members := s :: !members;
-          if px.px_final.(s) then is_final := true;
-          let succ = px.px_succ.(s) in
-          for k = 0 to Array.length succ - 1 do
-            let l, dst = succ.(k) in
-            if l <> mn && l <> mx then visit dst
-          done
-        end
-      in
-      List.iter visit seeds;
-      (Bytes.unsafe_to_string bits, !members, !is_final)
-    in
-    let index : (string, int) Hashtbl.t = Hashtbl.create 16 in
-    let finals_acc = ref IS.empty in
-    let nb = ref 0 in
-    let queue = Queue.create () in
-    let intern (key, members, fin) =
-      match Hashtbl.find_opt index key with
-      | Some id -> id
-      | None ->
-        let id = !nb in
-        incr nb;
-        Hashtbl.add index key id;
-        if fin then finals_acc := IS.add id !finals_acc;
-        Queue.add (id, members) queue;
-        id
-    in
-    let start = intern (closure [ A.Dfa.start e.sh_dfa ]) in
-    let delta_acc = ref [] in
-    while not (Queue.is_empty queue) do
-      let id, members = Queue.pop queue in
-      let mn_seeds = ref [] and mx_seeds = ref [] in
-      List.iter
-        (fun s ->
-          let succ = px.px_succ.(s) in
-          for k = 0 to Array.length succ - 1 do
-            let l, dst = succ.(k) in
-            if l = mn then mn_seeds := dst :: !mn_seeds
-            else if l = mx then mx_seeds := dst :: !mx_seeds
-          done)
-        members;
-      let trans = ref A.Lmap.empty in
-      if !mn_seeds <> [] then
-        trans := A.Lmap.add min_action (intern (closure !mn_seeds)) !trans;
-      if !mx_seeds <> [] then
-        trans := A.Lmap.add max_action (intern (closure !mx_seeds)) !trans;
-      delta_acc := (id, !trans) :: !delta_acc
-    done;
-    let delta = Array.make !nb A.Lmap.empty in
-    List.iter (fun (id, m) -> delta.(id) <- m) !delta_acc;
-    A.Dfa.create ~nb_states:!nb ~start ~finals:!finals_acc ~delta
-
+     and uniqueness of the minimal DFA.  The projection erases every
+     other letter of the quotient and runs the same kernel. *)
   let minimal_automaton e ~min_action ~max_action =
     check_pair e ~min_action ~max_action;
     Metrics.incr m_minimal_automata;
-    A.Dfa.minimize (project_pair e ~min_action ~max_action)
+    let pair = letters_of (Action.Set.of_list [ min_action; max_action ]) in
+    let map = Array.map (A.letter pair) e.sh_letters in
+    let nfa = K.relabel ~nb_letters:(Array.length pair) map e.sh_quotient in
+    A.Dfa.of_kernel ~letters:pair (K.minimize (K.determinize nfa))
 end
 
 (* ------------------------------------------------------------------ *)

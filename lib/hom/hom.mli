@@ -89,7 +89,13 @@ module Pair_set : Set.S with type elt = Action.t * Action.t
     union] for every pair inside the union alphabet, and minimal DFAs
     are unique up to isomorphism — verdicts and exported minimal
     automata are identical to those of {!depends_abstract} and
-    {!minimal_automaton} on each pair. *)
+    {!minimal_automaton} on each pair.
+
+    The behaviour is erased straight into the CSR form of
+    {!Fsa_automata.Kernel}, which determinises and minimises it over
+    dense letter ids; verdicts and pair projections work on the
+    kernel's flat transition table, and {!dfa} is its label-keyed
+    form. *)
 module Shared : sig
   type build_timing = {
     sb_erase_ns : int64;  (** building the shared image NFA *)
@@ -102,6 +108,8 @@ module Shared : sig
 
   val build :
     ?dfa:A.Dfa.t ->
+    ?max_states:int ->
+    ?progress:Fsa_obs.Progress.t ->
     alphabet:Action.Set.t ->
     minima:Action.t list ->
     maxima:Action.t list ->
@@ -109,9 +117,18 @@ module Shared : sig
     engine
   (** Build the shared quotient for [alphabet] (the union of all pair
       actions) and run the early-decision pass for the given minima and
-      maxima.  [?dfa] injects a previously cached shared quotient: the
-      behaviour graph is then not walked at all (and no pair is decided
-      early — all verdicts come off the shared DFA, identically). *)
+      maxima (those outside [alphabet] are ignored).  [?dfa] injects a
+      previously cached shared quotient: the behaviour graph is then not
+      walked at all (and no pair is decided early — all verdicts come
+      off the shared DFA, identically).
+
+      [progress] continues the exploration's count: it is ticked once
+      per materialised subset and once per Hopcroft worklist batch (and
+      never finished — its final report belongs to exploration), so a
+      callback raising on a deadline stops the build.
+      @raise Lts.State_space_too_large when the subset construction
+      would materialise more than [max_states] subsets (default: no
+      bound). *)
 
   val alphabet : engine -> Action.Set.t
   val dfa : engine -> A.Dfa.t
@@ -119,6 +136,10 @@ module Shared : sig
 
   val cached : engine -> bool
   val timing : engine -> build_timing
+
+  val early : engine -> Pair_set.t
+  (** The (minimum, maximum) pairs the single pass already proved
+      independent. *)
 
   val early_count : engine -> int
   (** Number of pairs the single pass already proved independent. *)

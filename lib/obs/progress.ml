@@ -75,11 +75,18 @@ let finish p ~count =
   if p.fired then
     fire p ~count ~frontier:0 ~now:(Span.now_ns ()) ~final:true
 
+(* The live line describes exploration: once it has printed its
+   completion report, later phases ticking the same reporter (the shared
+   abstraction's deadline ticks) print nothing. *)
 let stderr_reporter ?every_n ?every_ns ~label () =
+  let finished = ref false in
   create ?every_n ?every_ns (fun u ->
-      if u.u_final then
+      if !finished then ()
+      else if u.u_final then begin
+        finished := true;
         Fmt.epr "\r%s: %d states, %.0f states/s, done%s@." label u.u_count
           u.u_rate (String.make 12 ' ')
+      end
       else
         Fmt.epr "\r%s: %d states (frontier %d, %.0f states/s)%!" label
           u.u_count u.u_frontier u.u_rate)

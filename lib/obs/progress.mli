@@ -29,4 +29,6 @@ val finish : t -> count:int -> unit
 
 val stderr_reporter :
   ?every_n:int -> ?every_ns:int64 -> label:string -> unit -> t
-(** A ready-made reporter printing a live single-line status to stderr. *)
+(** A ready-made reporter printing a live single-line status to stderr.
+    It falls silent after its first completion report, so ticks of later
+    phases sharing the reporter do not extend the exploration line. *)

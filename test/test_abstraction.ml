@@ -181,6 +181,216 @@ let test_engine_rejects_foreign_pair () =
     | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
+(* The integer kernel against the label-keyed oracles                  *)
+(* ------------------------------------------------------------------ *)
+
+module O = Automata_oracle.Shared
+
+(* The shared engine on [lts] against the oracle pipeline: the quotient
+   is isomorphic to [minimize_moore (determinize (image (preserve
+   alphabet)))], the early-decided pairs are the oracle pass's, and every
+   verdict equals the label-keyed target-before-avoid search on the
+   oracle quotient.  (Per-pair verdicts recomputed from the whole graph
+   are pinned by "engine = oracles".)  [Error] names the first
+   disagreement. *)
+let agrees_with_oracle lts =
+  let minima = Action.Set.elements (Lts.minima lts)
+  and maxima = Action.Set.elements (Lts.maxima lts) in
+  let alphabet =
+    Action.Set.union (Action.Set.of_list minima) (Action.Set.of_list maxima)
+  in
+  if Action.Set.is_empty alphabet then Ok ()
+  else
+    let e = Hom.Shared.build ~alphabet ~minima ~maxima lts in
+    let oracle_quotient =
+      O.minimal_automaton (Hom.preserve (Action.Set.elements alphabet)) lts
+    in
+    if not (Hom.A.Dfa.isomorphic (Hom.Shared.dfa e) oracle_quotient) then
+      Error "shared quotient differs from the oracle's"
+    else if
+      not
+        (Hom.Pair_set.equal (Hom.Shared.early e)
+           (O.early_pairs ~minima ~maxima lts))
+    then Error "early-decided pairs differ from the oracle's"
+    else
+      match
+        List.find_opt
+          (fun (mn, mx) ->
+            Hom.Shared.depends e ~min_action:mn ~max_action:mx
+            = Hom.dfa_has_target_before_avoid oracle_quotient ~avoid:mn
+                ~target:mx)
+          (List.concat_map
+             (fun mn -> List.map (fun mx -> (mn, mx)) maxima)
+             minima)
+      with
+      | Some (mn, mx) ->
+        Error (Fmt.str "verdict (%a, %a) differs" Action.pp mn Action.pp mx)
+      | None -> Ok ()
+
+let test_kernel_equals_oracle_on_examples () =
+  match Test_check.spec_dir () with
+  | None -> ()
+  | Some dir ->
+    List.iter
+      (fun path ->
+        match Elaborate.apa_of_spec (Parser.parse_file path) with
+        | exception _ -> ()
+        | apa -> (
+          match agrees_with_oracle (Lts.explore apa) with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "%s: %s" (Filename.basename path) msg))
+      (Test_check.example_files dir)
+
+let prop_kernel_equals_oracle_on_random_specs =
+  QCheck2.Test.make ~name:"kernel = oracle on random specs" ~count:60
+    Test_spec_random.gen_spec (fun spec ->
+      match Elaborate.apa_of_spec spec with
+      | exception Fsa_spec.Loc.Error _ -> true
+      | apa -> (
+        match agrees_with_oracle (Lts.explore apa) with
+        | Ok () -> true
+        | Error msg -> QCheck2.Test.fail_report msg))
+
+(* The quotient sizes and early decisions the benchmark's two workloads
+   report, pinned at the analysis level. *)
+let test_quotient_pins () =
+  let shared r =
+    match r.Analysis.t_timings.Analysis.ph_shared with
+    | Some s -> (s.Analysis.sh_dfa_states, s.Analysis.sh_early_pairs)
+    | None -> Alcotest.fail "expected a shared timing section"
+  in
+  let module Evita = Fsa_vanet.Evita in
+  let canonical =
+    Analysis.tool ~stakeholder:Evita.stakeholder
+      (Fsa_core.Apa_of_model.compile Evita.model)
+  in
+  Alcotest.(check int) "E5: 80 460 states" 80460
+    (Lts.nb_states canonical.Analysis.t_lts);
+  Alcotest.(check (pair int int)) "E5: quotient states / early pairs"
+    (1512, 34) (shared canonical);
+  match Test_check.spec_dir () with
+  | None -> ()
+  | Some dir ->
+    let fleet =
+      Analysis.tool ~stakeholder:V.stakeholder
+        (Elaborate.apa_of_spec
+           (Parser.parse_file (Filename.concat dir "evita_fleet.fsa")))
+    in
+    Alcotest.(check (pair int int)) "evita_fleet: quotient states / early pairs"
+      (6561, 36) (shared fleet)
+
+(* The request deadline covers the shared build: progress keeps ticking
+   past exploration (once per subset and Hopcroft batch), so a callback
+   raising there surfaces from [Analysis.tool] as itself.  Only
+   exploration finishes the reporter: the callback never sees a final
+   report after the exploration's. *)
+exception Stop
+
+let test_progress_covers_shared_build () =
+  let apa = V.four_vehicles () in
+  let states = Lts.nb_states (Lts.explore apa) in
+  let updates = ref [] in
+  let progress stop_after =
+    Fsa_obs.Progress.create ~every_n:1 ~every_ns:Int64.max_int (fun u ->
+        updates := u :: !updates;
+        if
+          (not u.Fsa_obs.Progress.u_final)
+          && u.Fsa_obs.Progress.u_count > stop_after
+        then raise Stop)
+  in
+  ignore
+    (Analysis.tool ~progress:(progress max_int) ~stakeholder:V.stakeholder apa);
+  let shared_ticks =
+    List.filter (fun u -> u.Fsa_obs.Progress.u_count > states) !updates
+  in
+  Alcotest.(check bool) "the shared build ticks past exploration" true
+    (shared_ticks <> []);
+  Alcotest.(check bool) "no final report from the shared build" true
+    (List.for_all (fun u -> not u.Fsa_obs.Progress.u_final) shared_ticks);
+  Alcotest.(check bool) "a raising tick surfaces from Analysis.tool" true
+    (match
+       Analysis.tool ~progress:(progress (states + 2))
+         ~stakeholder:V.stakeholder apa
+     with
+    | _ -> false
+    | exception Stop -> true)
+
+(* A determinisation bomb: 12 states whose image needs 2^8 subsets.  From
+   the hub q1, the erased [x] forks a chain remembering which of the last
+   eight letters was an [a]; [a] and [b] are maxima (they also enter the
+   dead state), [s] is the only minimum, [x] is erased.  The subset
+   bound is the request's [max_states]. *)
+let bomb_source =
+  let chain =
+    List.init 7 (fun i -> Printf.sprintf "e(q%d, q%d)" (i + 3) (i + 4))
+  in
+  String.concat "\n"
+    [ "component Bomb {";
+      "  state st = { q0 }";
+      "  state ea = { "
+      ^ String.concat ", " ([ "e(q1, q1)"; "e(q1, dead)"; "e(q2, q3)" ] @ chain)
+      ^ " }";
+      "  state eb = { "
+      ^ String.concat ", " ([ "e(q1, q1)"; "e(q1, dead)" ] @ chain)
+      ^ " }";
+      "  action s: take st(q0) -> put st(q1)";
+      "  action x: take st(q1) -> put st(q2)";
+      "  action a: take st(_p), read ea(e(_p, _q)) -> put st(_q)";
+      "  action b: take st(_p), read eb(e(_p, _q)) -> put st(_q)";
+      "}";
+      "instance B = Bomb(1) { }";
+      "" ]
+
+let test_determinisation_bomb () =
+  (* the engine on a synthetic graph: q0 -s-> q1, q1 -a/b-> q1 and
+     dead, q1 -x-> q2 -a-> q3, then a/b along the chain to q10 *)
+  let tr s l d = { Lts.t_src = s; t_label = Action.make l; t_dst = d } in
+  let edges =
+    [ tr 0 "s" 1; tr 1 "a" 1; tr 1 "b" 1; tr 1 "a" 11; tr 1 "b" 11;
+      tr 1 "x" 2; tr 2 "a" 3 ]
+    @ List.concat_map (fun i -> [ tr i "a" (i + 1); tr i "b" (i + 1) ])
+        (List.init 7 (fun i -> i + 3))
+  in
+  let lts = Lts.of_edges ~nb_states:12 edges in
+  let minima = [ Action.make "s" ]
+  and maxima = [ Action.make "a"; Action.make "b" ] in
+  let alphabet = Action.Set.of_list (minima @ maxima) in
+  Alcotest.(check bool) "unbounded build succeeds" true
+    (Hom.A.Dfa.nb_states
+       (Hom.Shared.dfa (Hom.Shared.build ~alphabet ~minima ~maxima lts))
+    > 0);
+  Alcotest.(check bool) "bounded build raises the typed error" true
+    (match Hom.Shared.build ~max_states:100 ~alphabet ~minima ~maxima lts with
+    | _ -> false
+    | exception Lts.State_space_too_large 100 -> true);
+  (* the same bomb as a spec, through the analysis and the server *)
+  let apa = Elaborate.apa_of_spec (Parser.parse_string bomb_source) in
+  Alcotest.(check int) "exploration fits the bound" 12
+    (Lts.nb_states (Lts.explore ~max_states:100 apa));
+  Alcotest.(check bool) "Analysis.tool raises State_space_too_large" true
+    (match Analysis.tool ~max_states:100 ~stakeholder:V.stakeholder apa with
+    | _ -> false
+    | exception Lts.State_space_too_large 100 -> true);
+  let reply =
+    Server.handle_line (Server.config ())
+      (Json.to_string
+         (Json.Obj
+            [ ("id", Json.Int 1);
+              ("op", Json.Str "requirements");
+              ("source", Json.Str bomb_source);
+              ("max_states", Json.Int 100) ]))
+  in
+  let kind =
+    match Json.parse reply with
+    | Ok r ->
+      Option.bind (Json.member "error" r) (fun e ->
+          Option.bind (Json.member "kind" e) Json.to_str)
+    | Error _ -> None
+  in
+  Alcotest.(check (option string)) "server answers too_large"
+    (Some "too_large") kind
+
+(* ------------------------------------------------------------------ *)
 (* Quotient-cache hooks (analysis level)                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -389,6 +599,14 @@ let suite =
       test_engine_minimal_automata;
     Alcotest.test_case "foreign pair rejected" `Quick
       test_engine_rejects_foreign_pair;
+    Alcotest.test_case "kernel = oracle on examples" `Quick
+      test_kernel_equals_oracle_on_examples;
+    QCheck_alcotest.to_alcotest prop_kernel_equals_oracle_on_random_specs;
+    Alcotest.test_case "quotient pins" `Slow test_quotient_pins;
+    Alcotest.test_case "progress covers the shared build" `Quick
+      test_progress_covers_shared_build;
+    Alcotest.test_case "determinisation bomb" `Quick
+      test_determinisation_bomb;
     Alcotest.test_case "quotient cache hooks" `Quick
       test_quotient_cache_hooks;
     Alcotest.test_case "engine-versioned cache keys" `Quick

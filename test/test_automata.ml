@@ -1,11 +1,14 @@
 (* Tests for Fsa_automata: determinisation, minimisation, language ops. *)
 
-module A = Fsa_automata.Automata.Make (struct
+module C = struct
   type t = char
 
   let compare = Char.compare
   let pp = Fmt.char
-end)
+end
+
+module A = Fsa_automata.Automata.Make (C)
+module O = Automata_oracle.Make (C) (A)
 
 module IS = Fsa_automata.Automata.Int_set
 
@@ -83,7 +86,7 @@ let test_minimize_collapses () =
 
 let test_minimize_agrees_with_moore () =
   let d = A.Dfa.determinize (nfa_opt_ab ()) in
-  let h = A.Dfa.minimize d and m = A.Dfa.minimize_moore d in
+  let h = A.Dfa.minimize d and m = O.minimize_moore d in
   Alcotest.(check int) "same state count" (A.Dfa.nb_states h) (A.Dfa.nb_states m);
   Alcotest.(check bool) "isomorphic" true (A.Dfa.isomorphic h m)
 
@@ -208,32 +211,58 @@ let prop_hopcroft_equals_moore =
   QCheck2.Test.make ~name:"Hopcroft and Moore minimisation agree" ~count:200
     gen_nfa (fun n ->
       let d = A.Dfa.determinize n in
-      A.Dfa.isomorphic (A.Dfa.minimize d) (A.Dfa.minimize_moore d))
+      A.Dfa.isomorphic (A.Dfa.minimize d) (O.minimize_moore d))
 
-(* The bitset projection agrees with the generic relabel/determinize
-   chain under every alphabetic homomorphism over {a,b}: keep both,
-   keep one and erase the other, rename, or erase both. *)
+(* The kernel's subset construction numbers subsets exactly as the
+   label-keyed oracle does: same states, same start, same finals, same
+   transitions. *)
+let prop_determinize_equals_oracle =
+  QCheck2.Test.make ~name:"determinize equals the oracle state for state"
+    ~count:300 gen_nfa (fun n ->
+      let d = A.Dfa.determinize n and o = O.determinize n in
+      A.Dfa.nb_states d = A.Dfa.nb_states o
+      && A.Dfa.start d = A.Dfa.start o
+      && IS.equal (A.Dfa.finals d) (A.Dfa.finals o)
+      && Array.for_all2 (A.Lmap.equal Int.equal) (A.Dfa.delta d)
+           (A.Dfa.delta o))
+
+(* The shared engine's per-pair projection (kernel subset construction
+   and Hopcroft on the shared quotient) against the oracle pipeline
+   [minimize_moore (determinize (image (preserve [mn; mx])))] on random
+   behaviours, with a random shared alphabet around the pair. *)
 let prop_project_equals_relabel =
+  let module Action = Fsa_term.Action in
+  let module Lts = Fsa_lts.Lts in
+  let module Hom = Fsa_hom.Hom in
+  let labels = Array.map Action.make [| "a"; "b"; "c"; "d" |] in
   let open QCheck2.Gen in
   let gen =
-    let* n = gen_nfa in
-    let* h_idx = int_bound 4 in
-    return (n, h_idx)
+    let* n = int_range 1 7 in
+    let* edges =
+      list_size (int_bound 16)
+        (let* s = int_bound (n - 1) in
+         let* d = int_bound (n - 1) in
+         let* l = int_bound 3 in
+         return { Lts.t_src = s; t_label = labels.(l); t_dst = d })
+    in
+    let* mn = int_bound 3 in
+    let* mx = int_bound 3 in
+    let* extra = list_size (int_bound 3) (int_bound 3) in
+    return (n, edges, mn, mx, extra)
   in
-  let hom = function
-    | 0 -> fun l -> Some l
-    | 1 -> fun l -> if l = 'a' then Some 'a' else None
-    | 2 -> fun l -> if l = 'b' then Some 'b' else None
-    | 3 -> fun l -> Some (if l = 'a' then 'b' else 'a')
-    | _ -> fun _ -> None
-  in
-  QCheck2.Test.make ~name:"project agrees with determinize . relabel"
-    ~count:300 gen (fun (n, h_idx) ->
-      let d = A.Dfa.determinize n in
-      let h = hom h_idx in
-      let generic = A.Dfa.minimize (A.Dfa.determinize (A.relabel h d)) in
-      let fast = A.Dfa.minimize (A.project h d) in
-      A.Dfa.isomorphic generic fast)
+  QCheck2.Test.make ~name:"project agrees with determinize . image"
+    ~count:300 gen (fun (n, edges, mn, mx, extra) ->
+      let lts = Lts.of_edges ~nb_states:n edges in
+      let mn = labels.(mn) and mx = labels.(mx) in
+      let alphabet =
+        Action.Set.of_list (mn :: mx :: List.map (Array.get labels) extra)
+      in
+      let e = Hom.Shared.build ~alphabet ~minima:[] ~maxima:[] lts in
+      Hom.A.Dfa.isomorphic
+        (Hom.Shared.minimal_automaton e ~min_action:mn ~max_action:mx)
+        (Automata_oracle.Shared.minimal_automaton
+           (Hom.preserve [ mn; mx ])
+           lts))
 
 let suite =
   [ Alcotest.test_case "nfa accepts" `Quick test_nfa_accepts;
@@ -252,4 +281,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_minimize_preserves;
     QCheck_alcotest.to_alcotest prop_minimize_minimal;
     QCheck_alcotest.to_alcotest prop_hopcroft_equals_moore;
+    QCheck_alcotest.to_alcotest prop_determinize_equals_oracle;
     QCheck_alcotest.to_alcotest prop_project_equals_relabel ]
