@@ -168,9 +168,13 @@ let reduce_arg =
            ~doc:"Explore under reduction: $(b,sym) (component-permutation \
                  symmetry: interchangeable instances are explored once per \
                  orbit), $(b,por) (ample-set partial-order reduction over \
-                 static interference modules) or $(b,sym+por). Sound: the \
-                 derived requirement set is identical to an unreduced run; \
-                 models with custom action labels fall back to unreduced \
+                 static interference modules) or $(b,sym+por). Symmetry \
+                 shrinks $(b,reach) only: requirement derivation needs \
+                 the concrete graph, so $(b,requirements) and $(b,report) \
+                 apply only the partial-order half ($(b,sym) runs \
+                 unreduced, $(b,sym+por) as $(b,por)). Sound: the derived \
+                 requirement set is identical to an unreduced run; models \
+                 with custom action labels fall back to unreduced \
                  exploration. See $(b,fsa sym) for the detected orbits.")
 
 let cache_arg =
@@ -327,8 +331,8 @@ let requirements_cmd =
 (* --------------------------------------------------------------- *)
 
 let analyze_cmd =
-  let run verbose spec_path sos_name reduce cache no_cache cache_dir
-      metrics_out trace_out =
+  let run verbose spec_path sos_name cache no_cache cache_dir metrics_out
+      trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
     let spec = load_spec spec_path in
@@ -339,11 +343,9 @@ let analyze_cmd =
     | ds -> List.iter (fun d -> Fmt.epr "%a@." Fsa_check.Diagnostic.pp d) ds);
     let store = open_store ~cache ~no_cache ~cache_dir in
     let cfg = Server.config ?store () in
-    (* the manual path never explores a state space, so reduction is a
-       no-op here; the flag is accepted for symmetry with requirements *)
     ignore
-      (run_exec cfg ~op:Server.Exec.Analyze ?sos:sos_name ?reduce
-         ~file:spec_path spec)
+      (run_exec cfg ~op:Server.Exec.Analyze ?sos:sos_name ~file:spec_path
+         spec)
   in
   let sos_name =
     Arg.(value & opt (some string) None
@@ -352,9 +354,8 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Derive authenticity requirements from functional models (manual path).")
-    Term.(const run $ verbose_arg $ spec_arg $ sos_name $ reduce_arg
-          $ cache_arg $ no_cache_arg $ cache_dir_arg $ metrics_out_arg
-          $ trace_out_arg)
+    Term.(const run $ verbose_arg $ spec_arg $ sos_name $ cache_arg
+          $ no_cache_arg $ cache_dir_arg $ metrics_out_arg $ trace_out_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa abstract                                                     *)
@@ -930,11 +931,11 @@ let sym_cmd =
       let order = Sym.group_order report in
       if order > 1. then
         Fmt.pr "predicted reduction: up to %.0fx fewer states with \
-                --reduce sym@."
+                reach --reduce sym@."
           order
       else
-        Fmt.pr "no reducible symmetry: --reduce sym explores the full \
-                state space@."
+        Fmt.pr "no reducible symmetry: reach --reduce sym explores the \
+                full state space@."
   in
   let format_arg =
     Arg.(value & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
@@ -946,7 +947,7 @@ let sym_cmd =
              APA model without exploring the state space: instance \
              orbits, rejected candidate pairs, attested guards, \
              interference modules and the predicted reduction factor \
-             for $(b,--reduce).")
+             for $(b,reach --reduce).")
     Term.(const run $ verbose_arg $ spec_arg $ format_arg $ metrics_out_arg
           $ trace_out_arg)
 
@@ -1002,13 +1003,13 @@ let flow_cmd =
 (* --------------------------------------------------------------- *)
 
 let verify_cmd =
-  let run verbose spec_path reduce cache no_cache cache_dir =
+  let run verbose spec_path cache no_cache cache_dir =
     setup_logs verbose;
     let spec = load_spec spec_path in
     let store = open_store ~cache ~no_cache ~cache_dir in
     let cfg = Server.config ?store () in
     let outcome =
-      run_exec cfg ~op:Server.Exec.Verify ?reduce ~file:spec_path spec
+      run_exec cfg ~op:Server.Exec.Verify ~file:spec_path spec
     in
     if outcome.Server.Exec.oc_exit <> 0 then begin
       (match Fsa_store.Json.member "failed" outcome.Server.Exec.oc_result with
@@ -1023,8 +1024,8 @@ let verify_cmd =
        ~doc:"Evaluate a specification's check declarations against its \
              behaviour (explores the state space; see $(b,check) for the \
              static analysis).")
-    Term.(const run $ verbose_arg $ spec_arg $ reduce_arg $ cache_arg
-          $ no_cache_arg $ cache_dir_arg)
+    Term.(const run $ verbose_arg $ spec_arg $ cache_arg $ no_cache_arg
+          $ cache_dir_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa monitor                                                      *)

@@ -199,13 +199,6 @@ let c_pairs_pruned = Fsa_struct.Structural.pairs_pruned
 (* Reduced exploration (--reduce)                                      *)
 (* ------------------------------------------------------------------ *)
 
-module Stbl = Hashtbl.Make (struct
-  type t = Apa.State.t
-
-  let equal = Apa.State.equal
-  let hash = Apa.State.hash
-end)
-
 let reduction_hooks pl =
   { Lts.rd_canon = Option.value (Sym.canon_fn pl) ~default:Fun.id;
     rd_ample = Option.value (Sym.ample_fn pl) ~default:(fun _ succs -> succs) }
@@ -218,11 +211,10 @@ let quotient ?(max_states = 1_000_000) ?progress pl apa =
    An ample-reduced graph cannot answer the maxima question directly:
    its dead states are only ever entered by whatever module the
    scheduler ran last, so plain [Lts.maxima] loses every other module's
-   final actions (and under sym+por the canonical block re-sorting even
-   shuffles which module that is between steps).  But interference
-   modules are fully independent subsystems — no rule of one can
-   enable, disable or feed another — so the full graph is exactly their
-   product, and the product's maxima decompose:
+   final actions.  But interference modules are fully independent
+   subsystems — no rule of one can enable, disable or feed another — so
+   the full graph is exactly their product, and the product's maxima
+   decompose:
 
    - a product state is dead iff every module is locally dead, and by
      independence every combination of locally reachable states is
@@ -255,100 +247,6 @@ let por_maxima ?(max_states = 1_000_000) po apa lts =
         Action.Set.union acc (Lts.maxima local))
       Action.Set.empty (Sym.por_modules po)
 
-(* Unfold a symmetry quotient back to the full reachability graph.
-
-   Quotient exploration shrinks the expensive part — rule matching runs
-   only on canonical representatives — but the dependence tests need the
-   full graph with per-instance labels: testing over the quotient with
-   its raw labels is unsound, because one representative path can mix
-   transitions of different concrete instances.  The product BFS below
-   enumerates pairs [(rep, sigma)] denoting the concrete state
-   [sigma rep]: the successors of each representative are computed (and
-   ample-filtered) once, then replayed under [sigma] for every concrete
-   state of the orbit — the concrete label of a raw successor [(a, t)]
-   is [sigma a], and the successor's own pair is [(rep', sigma . inv
-   tau)] where [canonical t = (rep', tau)].  Per concrete edge the work
-   is a permutation application, not a rule match.  BFS order is
-   deterministic, so the rebuilt graph is reproducible (though its state
-   numbering may differ from an unreduced exploration's; all set-level
-   results — minima, maxima, dependence, requirements — coincide).
-
-   [max_states] bounds the representatives (the states actually
-   matched); the concrete graph may legitimately be [group_order] times
-   larger, so it gets a proportionally larger safety cap. *)
-let unfolded ?(max_states = 1_000_000) pl apa =
-  let cz =
-    match pl.Sym.pl_canonizer with
-    | Some cz -> cz
-    | None -> invalid_arg "Analysis.unfolded: plan has no canonizer"
-  in
-  if not (default_labelled_rules apa) then
-    raise
-      (Sym.Unsupported
-         "model has custom action labels; the recorded renamings only \
-          rewrite default rule-name labels");
-  let ample = Option.value (Sym.ample_fn pl) ~default:(fun _ succs -> succs) in
-  let full_cap =
-    let order = Sym.group_order pl.Sym.pl_report in
-    let scale = if Float.is_integer order && order <= 4096. then
-        int_of_float order else 4096
-    in
-    max max_states (max_states * scale)
-  in
-  let succs = Stbl.create 1024 in
-  let succ_of q =
-    match Stbl.find_opt succs q with
-    | Some l -> l
-    | None ->
-      if Stbl.length succs >= max_states then
-        raise (Lts.State_space_too_large max_states);
-      let l =
-        List.map (fun (_, a, t) -> (a, t)) (ample q (Apa.step apa q))
-      in
-      Stbl.add succs q l;
-      l
-  in
-  let index = Stbl.create 4096 in
-  let rev_states = ref [] in
-  let nb = ref 0 in
-  let rev_edges = ref [] in
-  let nb_edges = ref 0 in
-  let queue = Queue.create () in
-  let intern s q sigma =
-    match Stbl.find_opt index s with
-    | Some id -> id
-    | None ->
-      if !nb >= full_cap then raise (Lts.State_space_too_large full_cap);
-      let id = !nb in
-      incr nb;
-      Stbl.add index s id;
-      rev_states := s :: !rev_states;
-      Queue.add (id, q, sigma) queue;
-      id
-  in
-  let s0 = Apa.initial_state apa in
-  ignore (intern s0 s0 Sym.Perm.id);
-  while not (Queue.is_empty queue) do
-    let id, q, sigma = Queue.pop queue in
-    List.iter
-      (fun (a, t) ->
-        let label = Sym.Perm.apply_action sigma a in
-        let rep, tau = Sym.canonical cz t in
-        let sigma' = Sym.Perm.compose sigma (Sym.Perm.inverse tau) in
-        let s' = Sym.Perm.apply_state sigma' rep in
-        let id' = intern s' rep sigma' in
-        incr nb_edges;
-        rev_edges := { Lts.t_src = id; t_label = label; t_dst = id' } :: !rev_edges)
-      (succ_of q)
-  done;
-  let states = Array.of_list (List.rev !rev_states) in
-  let edges = List.rev !rev_edges in
-  let reps = Stbl.length succs in
-  let rep_transitions =
-    Stbl.fold (fun _ l acc -> acc + List.length l) succs 0
-  in
-  (Lts.of_graph ~name:(Apa.name apa) ~states edges, reps, rep_transitions)
-
 let tool ?(max_states = 1_000_000) ?reduce ?quotient_cache ?progress
     ~stakeholder apa =
   Span.with_ ~cat:"core" "tool" @@ fun () ->
@@ -357,11 +255,12 @@ let tool ?(max_states = 1_000_000) ?reduce ?quotient_cache ?progress
     let v = f () in
     (v, Int64.sub (Span.now_ns ()) t0)
   in
-  (* The requirement pipeline needs concrete per-instance labels, so a
-     symmetry plan is applied as quotient-then-unfold; that in turn
-     needs the default rule-name labelling the recorded renamings can
-     rewrite.  Models with custom labels fall back to unreduced
-     exploration (recorded in [ri_fallback]). *)
+  (* Derivation always explores the concrete graph: a plan's symmetry
+     component only shrinks [quotient] (reach statistics), and the tool
+     applies just its ample-set component.  That leans on static
+     pruning, which needs the default rule-name labelling, so models
+     with custom labels fall back to unreduced exploration (recorded in
+     [ri_fallback]). *)
   let eff_reduce, fallback =
     match reduce with
     | None -> (None, None)
@@ -374,19 +273,21 @@ let tool ?(max_states = 1_000_000) ?reduce ?quotient_cache ?progress
           m "--reduce %s: %s" (Sym.kind_to_string pl.Sym.pl_kind) reason);
       (None, Some reason)
   in
-  let quotient_size = ref None in
+  let por =
+    Option.bind eff_reduce (fun pl ->
+        match (pl.Sym.pl_por, Sym.ample_fn pl) with
+        | Some po, Some ample -> Some (pl, po, ample)
+        | _ -> None)
+  in
   let lts, ph_explore_ns =
     timed @@ fun () ->
     Span.with_ ~cat:"core" "tool.explore" (fun () ->
-        match eff_reduce with
-        | Some pl when Sym.canon_fn pl <> None ->
-          let lts, reps, rep_transitions = unfolded ~max_states pl apa in
-          quotient_size := Some (reps, rep_transitions);
-          lts
-        | Some pl ->
-          (* partial order only: the reduced graph is analysed as-is *)
-          quotient ~max_states ?progress pl apa
-        | None -> Lts.explore ~max_states ?progress apa)
+        Lts.explore ~max_states
+          ?reduce:
+            (Option.map
+               (fun (_, _, rd_ample) -> { Lts.rd_canon = Fun.id; rd_ample })
+               por)
+          ?progress apa)
   in
   (* An active ample-set reduction drops interleavings of rules from
      different interference modules, with two consequences downstream:
@@ -396,28 +297,20 @@ let tool ?(max_states = 1_000_000) ?reduce ?quotient_cache ?progress
      flow-independent pairs are settled by the (sound) structural
      argument in both the reduced and the unreduced run, and same-module
      pairs project to the same module-local runs either way. *)
-  let por_active =
-    match eff_reduce with
-    | Some pl -> Sym.ample_fn pl <> None
-    | None -> false
-  in
   let (minima, maxima), ph_min_max_ns =
     timed @@ fun () ->
     Span.with_ ~cat:"core" "tool.min_max" (fun () ->
         let maxima =
-          if por_active then
-            match eff_reduce with
-            | Some { Sym.pl_por = Some po; _ } ->
-              por_maxima ~max_states po apa lts
-            | _ -> Lts.maxima lts
-          else Lts.maxima lts
+          match por with
+          | Some (_, po, _) -> por_maxima ~max_states po apa lts
+          | None -> Lts.maxima lts
         in
         (Action.Set.elements (Lts.minima lts), Action.Set.elements maxima))
   in
   let pruned =
-    match eff_reduce with
-    | Some pl when por_active -> static_pruner ~indep:pl.Sym.pl_indep apa lts
-    | _ -> fun _ _ -> false
+    match por with
+    | Some (pl, _, _) -> static_pruner ~indep:pl.Sym.pl_indep apa lts
+    | None -> fun _ _ -> false
   in
   let pair_timings = ref [] in
   let (matrix, engine), ph_matrix_ns =
@@ -524,15 +417,10 @@ let tool ?(max_states = 1_000_000) ?reduce ?quotient_cache ?progress
     match reduce with
     | None -> None
     | Some pl ->
-      let reduced_states, reduced_transitions =
-        match !quotient_size with
-        | Some (s, t) -> (s, t)
-        | None -> (Lts.nb_states lts, Lts.nb_transitions lts)
-      in
       Some
         { ri_kind = Sym.kind_to_string pl.Sym.pl_kind;
-          ri_reduced_states = reduced_states;
-          ri_reduced_transitions = reduced_transitions;
+          ri_reduced_states = Lts.nb_states lts;
+          ri_reduced_transitions = Lts.nb_transitions lts;
           ri_group_order = Sym.group_order pl.Sym.pl_report;
           ri_fallback = fallback }
   in

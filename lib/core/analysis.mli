@@ -77,9 +77,9 @@ type phase_timings = {
 type reduction_info = {
   ri_kind : string;  (** ["sym"], ["por"] or ["sym+por"] *)
   ri_reduced_states : int;
-      (** states that underwent rule matching: symmetry-canonical
-          representatives under [sym], the reduced graph's states under
-          plain [por] *)
+      (** states of the graph the tool explored: the ample-reduced
+          graph when the plan has a partial-order component, the full
+          graph otherwise *)
   ri_reduced_transitions : int;
   ri_group_order : float;
       (** order of the detected symmetry group (1 without [sym]) *)
@@ -131,28 +131,7 @@ val quotient :
     sets per the plan.  The result is the reduced (quotient) graph —
     right for reachability statistics, not for requirement derivation
     (its raw labels mix concrete instances along representative
-    paths; use {!unfolded} or {!tool}[ ~reduce] for label-exact
-    analyses). *)
-
-val unfolded :
-  ?max_states:int ->
-  Fsa_sym.Sym.plan ->
-  Fsa_apa.Apa.t ->
-  Lts.t * int * int
-(** [(lts, reps, rep_transitions)]: the {e full} reachability graph
-    (modulo any ample-set restriction in the plan), rebuilt from the
-    symmetry quotient by a product BFS over (representative,
-    permutation) pairs.  Rule matching runs once per representative —
-    [reps] of them, with [rep_transitions] raw successors — and every
-    other concrete state replays its representative's successors
-    through a permutation.  Labels are concrete per-instance labels, so
-    all set-level analyses coincide with an unreduced exploration
-    (state numbering may differ).  [max_states] bounds the
-    representatives, not the concrete states.
-    @raise Invalid_argument when the plan has no symmetry component.
-    @raise Fsa_sym.Sym.Unsupported when the model does not carry the
-    default rule-name labelling.
-    @raise Lts.State_space_too_large beyond the representative budget. *)
+    paths; {!tool} explores the concrete graph). *)
 
 val tool :
   ?max_states:int ->
@@ -188,10 +167,10 @@ val tool :
     across runs (see {!quotient_cache}); a cache hit skips the
     erase/determinise/minimise and early-decision work entirely.
 
-    [reduce] applies a {!Fsa_sym.Sym.plan}.  A symmetry component is
-    applied as quotient-then-{!unfolded}, so the derived requirements
-    are identical to the unreduced run's while rule matching is confined
-    to orbit representatives.  An ample-set component restricts the
+    [reduce] applies a {!Fsa_sym.Sym.plan}'s ample-set component only:
+    derivation needs concrete per-instance labels, so a symmetry
+    component is ignored here (it shrinks {!quotient} alone) and the
+    concrete graph is explored.  An ample-set component restricts the
     explored interleavings; pairs the net skeleton proves
     flow-independent are then settled without a test (counted in the
     [struct.pairs_pruned] metric), because the reduced graph could

@@ -102,9 +102,9 @@ let order_transition a b =
     let c = Action.compare a.t_label b.t_label in
     if c <> 0 then c else Stdlib.compare a.t_dst b.t_dst
 
-(* Shared final assembly: the explorer and the importers ([of_edges],
-   [of_graph]) hand their states (in BFS order) and edges to this, so the
-   resulting structures are constructed identically. *)
+(* Shared final assembly: the explorer and the importer ([of_edges])
+   hand their states (in BFS order) and edges to this, so the resulting
+   structures are constructed identically. *)
 let assemble ~apa_name ~states ~iter_edges =
   let n = Array.length states in
   let succs = Array.make n [] in
@@ -220,23 +220,6 @@ let of_edges ?(name = "imported") ~nb_states edges =
   assemble ~apa_name:name
     ~states:(Array.make nb_states State.empty)
     ~iter_edges:(fun f -> List.iter f edges)
-
-(* Like [of_edges], but with caller-supplied state contents — the unfold
-   of a symmetry quotient rebuilds the full graph this way, with real
-   states so that downstream completion predicates and state printing
-   keep working. *)
-let of_graph ?(name = "imported") ~states edges =
-  let nb_states = Array.length states in
-  if nb_states <= 0 then invalid_arg "Lts.of_graph: no states";
-  List.iter
-    (fun tr ->
-      if
-        tr.t_src < 0 || tr.t_src >= nb_states || tr.t_dst < 0
-        || tr.t_dst >= nb_states
-      then invalid_arg "Lts.of_graph: transition endpoint out of range")
-    edges;
-  assemble ~apa_name:name ~states:(Array.copy states) ~iter_edges:(fun f ->
-      List.iter f edges)
 
 let state_name i = Printf.sprintf "M-%d" (i + 1)
 

@@ -67,13 +67,6 @@ val of_edges : ?name:string -> nb_states:int -> transition list -> t
     ingesting externally computed reachability graphs.
     @raise Invalid_argument on out-of-range endpoints. *)
 
-val of_graph : ?name:string -> states:State.t array -> transition list -> t
-(** Like {!of_edges} but with caller-supplied state contents (state [0]
-    initial).  The unfold of a symmetry quotient rebuilds the full
-    reachability graph this way.
-    @raise Invalid_argument on an empty state array or out-of-range
-    endpoints. *)
-
 val state_name : int -> string
 val fold_states : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val alphabet : t -> Action.Set.t

@@ -129,13 +129,13 @@ module Exec = struct
     try Elaborate.apa_of_spec spec
     with Invalid_argument msg -> raise (Usage_error msg)
 
-  let actions_json set =
-    Json.List
-      (List.map
-         (fun a -> Json.Str (Action.to_string a))
-         (Action.Set.elements set))
+  let actions_json actions =
+    Json.List (List.map (fun a -> Json.Str (Action.to_string a)) actions)
 
-  let summary_of_lts lts =
+  (* [minima] and [maxima] are passed in rather than read off [lts]: an
+     ample-reduced graph loses maxima that the tool path recovers
+     module-locally, and the summary must agree with the derivation. *)
+  let summary_of_lts ~minima ~maxima lts =
     let { Lts.nb_states; nb_transitions; nb_deadlocks; nb_labels } =
       Lts.stats lts
     in
@@ -149,8 +149,13 @@ module Exec = struct
               ( "states",
                 Json.List (List.map (fun i -> Json.Int i) (Lts.deadlocks lts))
               ) ] );
-        ("minima", actions_json (Lts.minima lts));
-        ("maxima", actions_json (Lts.maxima lts)) ]
+        ("minima", actions_json minima);
+        ("maxima", actions_json maxima) ]
+
+  let reach_summary lts =
+    summary_of_lts lts
+      ~minima:(Action.Set.elements (Lts.minima lts))
+      ~maxima:(Action.Set.elements (Lts.maxima lts))
 
   let requirements_json reqs =
     Json.List
@@ -193,7 +198,7 @@ module Exec = struct
       let output =
         Fmt.str "%a@.%a@." Lts.pp_stats (Lts.stats lts) Lts.pp_min_max lts
       in
-      (summary_of_lts lts, output, 0)
+      (reach_summary lts, output, 0)
     | Some pl ->
       let lts = Analysis.quotient ~max_states ?progress pl apa in
       let order = Sym.group_order pl.Sym.pl_report in
@@ -204,7 +209,7 @@ module Exec = struct
           order
       in
       let summary =
-        match summary_of_lts lts with
+        match reach_summary lts with
         | Json.Obj fields ->
           Json.Obj
             (fields
@@ -467,7 +472,10 @@ module Exec = struct
     in
     let result =
       Json.Obj
-        ([ ("summary", summary_of_lts report.Analysis.t_lts);
+        ([ ( "summary",
+             summary_of_lts report.Analysis.t_lts
+               ~minima:report.Analysis.t_minima
+               ~maxima:report.Analysis.t_maxima );
            ("requirements", requirements_json report.Analysis.t_requirements);
            ("timings", timings_json report.Analysis.t_timings);
            ("report", Report.to_json rpt) ]
@@ -580,36 +588,11 @@ module Exec = struct
     in
     (result, Buffer.contents b, 0)
 
-  (* The POR-reduced graph is unsound for arbitrary properties, so
-     verify honours only the symmetry half of a reduction request:
-     [Sym_por] degrades to [Sym] and [Por] to no reduction.  The [Sym]
-     path model-checks the exact full graph rebuilt by
-     {!Analysis.unfolded} — identical verdicts, cheaper rule
-     matching. *)
-  let verify_reduce = function
-    | Some Sym.Sym_por -> Some Sym.Sym
-    | Some Sym.Por -> None
-    | k -> k
-
-  let run_verify ~max_states ~progress ~reduce spec =
+  let run_verify ~max_states ~progress spec =
     let patterns = Elaborate.patterns_of_spec spec in
     if patterns = [] then
       raise (Usage_error "the specification declares no check");
-    let apa = apa_of_spec spec in
-    let lts, note =
-      match reduce_plan ~reduce spec apa with
-      | Some pl when Sym.canon_fn pl <> None -> (
-        try
-          let lts, _, _ = Analysis.unfolded ~max_states pl apa in
-          (lts, "note: symmetry-guided exploration (exact graph)\n")
-        with Sym.Unsupported reason ->
-          ( Lts.explore ~max_states ?progress apa,
-            Printf.sprintf "note: reduction fell back (%s)\n" reason ))
-      | Some _ ->
-        ( Lts.explore ~max_states ?progress apa,
-          "note: no reducible symmetry; explored unreduced\n" )
-      | None -> (Lts.explore ~max_states ?progress apa, "")
-    in
+    let lts = Lts.explore ~max_states ?progress (apa_of_spec spec) in
     let results =
       List.map (fun (d, p) -> (d, Pattern.check lts p)) patterns
     in
@@ -618,11 +601,10 @@ module Exec = struct
         (List.filter (fun (_, r) -> not r.Pattern.holds_) results)
     in
     let output =
-      note
-      ^ String.concat ""
-          (List.map
-             (fun (d, r) -> Fmt.str "%-50s %a@." d Pattern.pp_result r)
-             results)
+      String.concat ""
+        (List.map
+           (fun (d, r) -> Fmt.str "%-50s %a@." d Pattern.pp_result r)
+           results)
     in
     let result =
       Json.Obj
@@ -657,12 +639,25 @@ module Exec = struct
     | Analyze -> [ `Models ]
     | Check -> [ `Apa; `Checks; `Models ]
 
+  let accepts_reduce = function
+    | Reach | Requirements | Report -> true
+    | Analyze | Abstract | Verify | Check -> false
+
+  (* The reduction an op actually runs, which is also what keys the
+     cache and what the outcome reports.  Reach explores the requested
+     quotient.  Derivation (requirements, report) needs concrete labels,
+     so it applies only the ample-set half: [sym] runs unreduced and
+     [sym+por] as [por].  The other ops never reduce. *)
+  let effective_reduce op reduce =
+    match (op, reduce) with
+    | Reach, k -> k
+    | (Requirements | Report), Some (Sym.Por | Sym.Sym_por) -> Some Sym.Por
+    | (Requirements | Report), (Some Sym.Sym | None) -> None
+    | (Analyze | Abstract | Verify | Check), _ -> None
+
   let run cfg ~op ?(max_states = 1_000_000) ?sos ?keep ?reduce ?progress
       ?deadline_ns ?(cache = true) ~file spec =
-    (* the effective reduction is what runs AND what keys the cache:
-       verify ignores the POR half (unsound for arbitrary properties),
-       so a [por] verify request shares the unreduced entry *)
-    let reduce = match op with Verify -> verify_reduce reduce | _ -> reduce in
+    let reduce = effective_reduce op reduce in
     let progress =
       match (progress, deadline_ns) with
       | (Some _ as p), _ -> p
@@ -691,7 +686,7 @@ module Exec = struct
             spec
         | Analyze -> run_analyze ~sos spec
         | Abstract -> run_abstract ~keep ~max_states ~progress spec
-        | Verify -> run_verify ~max_states ~progress ~reduce spec
+        | Verify -> run_verify ~max_states ~progress spec
         | Check -> run_check ~file spec
         | Report ->
           run_report cfg ~max_states ~progress ~reduce ~sos
@@ -711,7 +706,7 @@ module Exec = struct
            reduction is often the difference between blowing the bound
            and finishing (same guard: never mask the error) *)
         let hint =
-          if reduce <> None then hint
+          if reduce <> None || not (accepts_reduce op) then hint
           else
             hint
             ^
@@ -751,10 +746,9 @@ module Exec = struct
       let digest = Elaborate.digest_of_spec ~parts:(digest_parts op) spec in
       let params =
         let ms = ("max_states", string_of_int max_states) in
-        (* [reduce] IS part of the key: reduced runs report quotient
-           statistics and reduction metadata, so their outcomes are not
-           interchangeable with unreduced ones (verify keys its
-           post-downgrade effective reduction, which is) *)
+        (* the effective [reduce] IS part of the key: reduced runs
+           report reduced-graph statistics and reduction metadata, so
+           their outcomes are not interchangeable with unreduced ones *)
         let rd =
           match reduce with
           | None -> []
@@ -774,7 +768,7 @@ module Exec = struct
           match sos with Some s -> [ ("sos", s) ] | None -> [])
         | Abstract ->
           [ ms; ("keep", String.concat "," (Option.value keep ~default:[])) ]
-        | Verify -> ms :: rd
+        | Verify -> [ ms ]
         | Check -> []
       in
       let key = Store.cache_key ~digest ~kind:(op_to_string op) ~params in
@@ -1042,14 +1036,14 @@ let handle_request cfg ~trace_id req =
     in
     let reduce =
       match req_str req "reduce" with
-      | None -> None
-      | Some s -> (
+      | Some s when Exec.accepts_reduce op -> (
         match Sym.kind_of_string s with
         | Some _ as k -> k
         | None ->
           raise
             (Usage_error
                (Printf.sprintf "unknown reduce %S (sym|por|sym+por)" s)))
+      | _ -> None
     in
     let outcome =
       Exec.run cfg ~op ~max_states ?sos:(req_str req "sos")

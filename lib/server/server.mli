@@ -13,16 +13,18 @@
 
     {v
     {"id": .., "op": "reach", "source": "..", "max_states": 10000}
-    {"id": .., "op": "requirements", "spec": "path.fsa", "reduce": "sym"}
+    {"id": .., "op": "requirements", "spec": "path.fsa", "reduce": "por"}
     v}
 
     [op] is one of [reach], [requirements], [analyze], [abstract],
     [verify], [check], or the protocol-level [stats] (below); the model
     comes either inline ([source]) or from a file ([spec]).  Optional
     members: [max_states] (clamped to the server's bound), [timeout_ms]
-    (clamped to the server's budget), [reduce] ([sym]|[por]|[sym+por]:
-    symmetry / partial-order reduction on reach, requirements and
-    verify; verify honours only the symmetry half), [sos] (analyze),
+    (clamped to the server's budget), [reduce] ([sym]|[por]|[sym+por],
+    on reach, requirements and report only: reach explores the
+    requested quotient, while requirements and report apply only the
+    partial-order half — [sym] runs unreduced, [sym+por] as [por]; the
+    other ops ignore the member), [sos] (analyze),
     [keep] (list of action names, abstract only), [cache] (set [false]
     to bypass the store for one request) and [trace_id] (a
     client-chosen identifier for the request's trace; one is generated
@@ -146,13 +148,15 @@ module Exec : sig
       location-free digest deliberately ignores.  Timeouts and other
       errors propagate as exceptions and are never cached.
       [reduce] requests symmetry / partial-order reduction
-      ({!Fsa_sym.Sym}) on the reach, requirements and verify paths; it
-      {e is} part of the cache key, because reduced outcomes report
-      quotient statistics.  Verify downgrades the request to its
-      symmetry half first ([sym+por] to [sym], [por] to none): the
-      POR-reduced graph is unsound for arbitrary properties, and the
-      symmetry path model-checks the exact unfolded graph, so verify
-      verdicts never depend on the reduction.
+      ({!Fsa_sym.Sym}).  It is first normalised to the reduction the op
+      actually runs: reach keeps it (symmetry shrinks the quotient it
+      reports); requirements and report keep only the partial-order
+      half, because derivation needs the concrete graph's per-instance
+      labels ([sym] runs unreduced, [sym+por] as [por]); every other op
+      runs unreduced (a partial-order-reduced graph is unsound for
+      arbitrary verify properties).  That effective kind is what the
+      outcome reports and what joins the cache key, so requests that
+      run the same analysis share one entry.
       Requirements and report outcomes are keyed with the version of
       the shared abstraction engine ({!Fsa_core.Analysis.tool}) as an
       ["engine"] param, so outcomes of another engine generation never

@@ -10,8 +10,6 @@ module Metrics = Fsa_obs.Metrics
 module Smap = Map.Make (String)
 module Sset = Set.Make (String)
 
-exception Unsupported of string
-
 let m_canon_hits = Metrics.counter "sym.canon_cache_hits"
 let m_canon_misses = Metrics.counter "sym.canon_cache_misses"
 let m_ample_reduced = Metrics.counter "sym.ample_states_reduced"
@@ -41,23 +39,6 @@ module Perm = struct
   let of_maps ~comps ~rules ~syms =
     { pm_comp = norm comps; pm_rule = norm rules; pm_sym = norm syms }
 
-  (* [compose a b] applies [b] first. *)
-  let compose_map ma mb =
-    let m = Smap.map (fun v -> lookup ma v) mb in
-    let m =
-      Smap.fold
-        (fun k v acc -> if Smap.mem k acc then acc else Smap.add k v acc)
-        ma m
-    in
-    norm m
-
-  let compose a b =
-    {
-      pm_comp = compose_map a.pm_comp b.pm_comp;
-      pm_rule = compose_map a.pm_rule b.pm_rule;
-      pm_sym = compose_map a.pm_sym b.pm_sym;
-    }
-
   let invert_map m = Smap.fold (fun k v acc -> Smap.add v k acc) m Smap.empty
 
   let inverse p =
@@ -81,43 +62,6 @@ module Perm = struct
 
   let apply_state p s =
     if is_id p then s else State.map ~comp:(comp p) ~term:(apply_term p) s
-
-  let apply_action p (a : Action.t) =
-    let label = rule p a.Action.label in
-    let args = List.map (apply_term p) a.Action.args in
-    match a.Action.actor with
-    | None -> Action.make ~args label
-    | Some actor -> Action.make ~actor ~args label
-
-  let equal a b =
-    Smap.equal String.equal a.pm_comp b.pm_comp
-    && Smap.equal String.equal a.pm_rule b.pm_rule
-    && Smap.equal String.equal a.pm_sym b.pm_sym
-
-  let key p =
-    let buf = Buffer.create 64 in
-    let dump tag m =
-      Buffer.add_string buf tag;
-      Smap.iter
-        (fun k v ->
-          Buffer.add_string buf k;
-          Buffer.add_char buf '>';
-          Buffer.add_string buf v;
-          Buffer.add_char buf ';')
-        m
-    in
-    dump "c:" p.pm_comp;
-    dump "r:" p.pm_rule;
-    dump "s:" p.pm_sym;
-    Buffer.contents buf
-
-  let pp ppf p =
-    if is_id p then Fmt.string ppf "id"
-    else
-      let binds m = Smap.bindings m in
-      Fmt.pf ppf "@[<h>%a@]"
-        Fmt.(list ~sep:(any " ") (pair ~sep:(any "->") string string))
-        (binds p.pm_comp @ binds p.pm_rule @ binds p.pm_sym)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1085,7 +1029,7 @@ type corbit = { co_blocks : cblock array }
 
 type canonizer = {
   cz_orbits : corbit array;
-  cz_memo : (State.t * Perm.t) Stbl.t;
+  cz_memo : State.t Stbl.t;
   cz_lock : Mutex.t;
 }
 
@@ -1141,7 +1085,7 @@ let canonical cz s =
   | None ->
       Mutex.unlock cz.cz_lock;
       Metrics.incr m_canon_misses;
-      let perm = ref Perm.id and cur = ref s in
+      let cur = ref s in
       Array.iter
         (fun orb ->
           let n = Array.length orb.co_blocks in
@@ -1176,18 +1120,16 @@ let canonical cz s =
               end
             done;
             let pi = Perm.of_maps ~comps:!comps ~rules:!rules ~syms:!syms in
-            cur := Perm.apply_state pi !cur;
-            perm := Perm.compose pi !perm
+            cur := Perm.apply_state pi !cur
           end)
         cz.cz_orbits;
-      let result = (!cur, !perm) in
+      let rep = !cur in
       Mutex.lock cz.cz_lock;
-      if not (Stbl.mem cz.cz_memo s) then Stbl.replace cz.cz_memo s result;
-      (* The representative canonicalises to itself with the identity. *)
-      if not (Stbl.mem cz.cz_memo !cur) then
-        Stbl.replace cz.cz_memo !cur (!cur, Perm.id);
+      if not (Stbl.mem cz.cz_memo s) then Stbl.replace cz.cz_memo s rep;
+      (* The representative canonicalises to itself. *)
+      if not (Stbl.mem cz.cz_memo rep) then Stbl.replace cz.cz_memo rep rep;
       Mutex.unlock cz.cz_lock;
-      result
+      rep
 
 (* ------------------------------------------------------------------ *)
 (* Ample sets                                                          *)
@@ -1373,7 +1315,7 @@ let plan ?guard_sig kind apa =
 
 let canon_fn pl =
   match pl.pl_canonizer with
-  | Some cz when nontrivial cz -> Some (fun s -> fst (canonical cz s))
+  | Some cz when nontrivial cz -> Some (canonical cz)
   | _ -> None
 
 let ample_fn pl =

@@ -35,22 +35,19 @@
     (every rule consumes, intra-module token flow acyclic).  When any
     condition fails the state is expanded in full.
 
+    {b Who uses what.}  Symmetry shrinks reachability only
+    ({!Fsa_core.Analysis.quotient}: [fsa reach], [fsa sym]'s
+    prognosis): a quotient's labels mix concrete instances along
+    representative paths, so requirement derivation always explores the
+    concrete graph and applies only a plan's ample-set component.
     Soundness gate: on every model that completes un-reduced, the
-    reduced analysis produces the identical requirement set
-    ({!Fsa_core.Analysis} re-derives per-instance requirements from the
-    quotient through the recorded permutations). *)
+    ample-reduced analysis produces the identical requirement set. *)
 
 module Term = Fsa_term.Term
 module Action = Fsa_term.Action
 module Apa = Fsa_apa.Apa
 module State = Fsa_apa.Apa.State
 module Structural = Fsa_struct.Structural
-
-exception Unsupported of string
-(** Raised (by reduction consumers) when a model steps outside what the
-    static analysis verified — e.g. a transition whose label is not the
-    default rule-name labelling, which the recorded renamings could not
-    soundly rewrite.  Callers fall back to unreduced exploration. *)
 
 (** {1 Permutations}
 
@@ -60,14 +57,6 @@ exception Unsupported of string
 module Perm : sig
   type t
 
-  val id : t
-  val is_id : t -> bool
-  val equal : t -> t -> bool
-
-  val compose : t -> t -> t
-  (** [compose a b] applies [b] first, then [a]. *)
-
-  val inverse : t -> t
   val comp : t -> string -> string
   val rule : t -> string -> string
 
@@ -76,15 +65,6 @@ module Perm : sig
 
   val apply_state : t -> State.t -> State.t
   (** Renames component keys and rewrites stored terms. *)
-
-  val apply_action : t -> Action.t -> Action.t
-  (** Rewrites the label through the rule map and the argument terms
-      through the symbol map; the actor is left unchanged. *)
-
-  val key : t -> string
-  (** Canonical encoding, usable as a hash/visited-set key. *)
-
-  val pp : t Fmt.t
 end
 
 (** {1 Orbit detection} *)
@@ -153,10 +133,10 @@ val canonizer : report -> canonizer
 val nontrivial : canonizer -> bool
 (** [true] when at least one reducible orbit exists. *)
 
-val canonical : canonizer -> State.t -> State.t * Perm.t
-(** [canonical c s] is [(rep, p)] with [rep = Perm.apply_state p s] the
-    canonical representative of [s]'s orbit under the symmetry group.
-    Consistent: all states of one orbit map to the same [rep]. *)
+val canonical : canonizer -> State.t -> State.t
+(** The canonical representative of a state's orbit under the symmetry
+    group.  Consistent: all states of one orbit map to the same
+    representative, and a representative maps to itself. *)
 
 (** {1 Ample sets} *)
 

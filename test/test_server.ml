@@ -7,6 +7,7 @@ module Exec = Fsa_server.Server.Exec
 module Json = Fsa_store.Json
 module Store = Fsa_store.Store
 module Parser = Fsa_spec.Parser
+module Sym = Fsa_sym.Sym
 
 (* Known-good model shared with the store tests. *)
 let spec_text = Test_store.spec_text
@@ -30,6 +31,44 @@ let bomb_spec =
   for i = 1 to 18 do
     Buffer.add_string b
       (Printf.sprintf "instance F%d = Flip(%d) { a = { t } }\n" i i)
+  done;
+  Buffer.contents b
+
+(* A fleet of [n] warner/receiver pairs, one radio cluster per pair:
+   the pairs are independent interference modules (so [por] reduces)
+   and interchangeable blocks (so [sym] finds an orbit). *)
+let fleet_source n =
+  let b = Buffer.create 2048 in
+  Buffer.add_string b
+    "component Warner {\n\
+    \  state esp = { }\n\
+    \  state gps = { }\n\
+    \  state bus = { }\n\
+    \  shared net\n\
+    \  action sense: take esp(_x) -> put bus(_x)\n\
+    \  action pos:   take gps(_p) -> put bus(_p)\n\
+    \  action send:  take bus(sW), take bus(_p) when position(_p)\n\
+    \                -> put net(cam(self, _p))\n\
+     }\n\
+     component Receiver {\n\
+    \  state gps = { }\n\
+    \  state bus = { }\n\
+    \  state hmi = { }\n\
+    \  shared net\n\
+    \  action pos:  take gps(_p) -> put bus(_p)\n\
+    \  action rec:  take net(cam(_v, _p)) when _v != self\n\
+    \               -> put bus(warn(_p))\n\
+    \  action show: take bus(warn(_p)), take bus(_q)\n\
+    \               when position(_q) && near(_p, _q)\n\
+    \               -> put hmi(warn)\n\
+     }\n";
+  for i = 1 to n do
+    Buffer.add_string b
+      (Printf.sprintf
+         "instance W%d = Warner(%d) { esp = { sW }, gps = { pos1 } }\n\
+          instance R%d = Receiver(%d) { gps = { pos2 } }\n\
+          cluster net%d = { W%d, R%d }\n"
+         i (2 * i - 1) i (2 * i) i i i)
   done;
   Buffer.contents b
 
@@ -200,6 +239,76 @@ let test_exec_caches_verify_failures =
   Alcotest.(check bool) "replayed" true o2.Exec.oc_cached;
   Alcotest.(check int) "exit code replayed" 1 o2.Exec.oc_exit;
   Alcotest.(check string) "report replayed" o1.Exec.oc_output o2.Exec.oc_output
+
+(* An ample-reduced graph loses every maximum but the last-scheduled
+   module's; the requirements summary must report the tool path's
+   module-locally recovered maxima, not the reduced graph's. *)
+let test_por_summary_maxima () =
+  let cfg = Server.config () in
+  let spec = Parser.parse_string (fleet_source 3) in
+  let summary ?reduce () =
+    let o = Exec.run cfg ~op:Exec.Requirements ?reduce ~file:"f.fsa" spec in
+    ( Option.get (Json.member "summary" o.Exec.oc_result),
+      Json.member "requirements" o.Exec.oc_result )
+  in
+  let full, full_reqs = summary () in
+  let red, red_reqs = summary ~reduce:Sym.Por () in
+  let member k j = Json.to_string (Option.get (Json.member k j)) in
+  Alcotest.(check bool) "the graph is reduced" true
+    (Json.member "states" red <> Json.member "states" full);
+  Alcotest.(check string) "every pair's maximum"
+    {|["R1_show","R2_show","R3_show"]|} (member "maxima" red);
+  Alcotest.(check string) "maxima as unreduced" (member "maxima" full)
+    (member "maxima" red);
+  Alcotest.(check string) "minima as unreduced" (member "minima" full)
+    (member "minima" red);
+  Alcotest.(check bool) "requirements as unreduced" true
+    (full_reqs = red_reqs)
+
+(* The effective reduction keys the store: derivation runs [sym] as
+   unreduced and [sym+por] as [por], and verify never reduces, so those
+   requests replay one shared entry. *)
+let test_reduce_cache_keys =
+  with_store_dir @@ fun store ->
+  let cfg = Server.config ~store () in
+  let spec =
+    Parser.parse_string
+      (fleet_source 2 ^ "check precedence W1_sense R1_show\n")
+  in
+  let run ?reduce op = Exec.run cfg ~op ?reduce ~file:"f.fsa" spec in
+  let replays what first o =
+    Alcotest.(check bool) (what ^ " replayed") true o.Exec.oc_cached;
+    Alcotest.(check string) (what ^ " output") first.Exec.oc_output
+      o.Exec.oc_output
+  in
+  let por = run ~reduce:Sym.Por Exec.Requirements in
+  Alcotest.(check bool) "por computes" false por.Exec.oc_cached;
+  replays "sym+por requirements" por
+    (run ~reduce:Sym.Sym_por Exec.Requirements);
+  let plain = run Exec.Requirements in
+  Alcotest.(check bool) "unreduced is a separate entry" false
+    plain.Exec.oc_cached;
+  replays "sym requirements" plain (run ~reduce:Sym.Sym Exec.Requirements);
+  let verify = run Exec.Verify in
+  Alcotest.(check bool) "verify computes" false verify.Exec.oc_cached;
+  List.iter
+    (fun k ->
+      replays ("verify --reduce " ^ Sym.kind_to_string k) verify
+        (run ~reduce:k Exec.Verify))
+    [ Sym.Sym; Sym.Por; Sym.Sym_por ];
+  (* verify ignores the member like any unknown one, even malformed *)
+  let r =
+    parse_response
+      (Server.handle_line cfg
+         (source_request
+            ~source:(fleet_source 2 ^ "check precedence W1_sense R1_show\n")
+            ~id:1 ~op:"verify"
+            [ ("reduce", Json.Str "bogus") ]))
+  in
+  Alcotest.(check bool) "verify ignores reduce" true (is_ok r);
+  Alcotest.(check (option bool)) "and replays the unreduced entry"
+    (Some true)
+    (Option.bind (Json.member "cached" r) Json.to_bool)
 
 let test_exec_usage_errors () =
   let cfg = Server.config () in
@@ -564,6 +673,10 @@ let suite =
       test_too_large_hint;
     Alcotest.test_case "exec caches verify failures" `Quick
       test_exec_caches_verify_failures;
+    Alcotest.test_case "por summary keeps every maximum" `Quick
+      test_por_summary_maxima;
+    Alcotest.test_case "reduce keys the effective kind" `Quick
+      test_reduce_cache_keys;
     Alcotest.test_case "exec usage errors" `Quick test_exec_usage_errors;
     Alcotest.test_case "hundred mixed requests" `Quick
       test_hundred_mixed_requests;
