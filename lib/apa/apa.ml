@@ -821,6 +821,13 @@ let prefix ?(keep = []) ~prefix:pfx t =
   in
   build ~components ~rules (pfx ^ t.name)
 
+(* The APA a module of rules explores on its own: every component with
+   its initial contents, only the named rules, in declaration order. *)
+let restrict ~rules:names t =
+  build ~components:t.components
+    ~rules:(List.filter (fun r -> List.mem r.r_name names) t.rules)
+    t.name
+
 let with_initial component init t =
   if not (List.mem_assoc component t.components) then
     invalid_arg

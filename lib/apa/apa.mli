@@ -138,6 +138,11 @@ val prefix : ?keep:string list -> prefix:string -> t -> t
 (** Rename all components and rules with a prefix, except the shared
     components listed in [keep]. *)
 
+val restrict : rules:string list -> t -> t
+(** The APA keeping every state component (with its initial contents)
+    and only the named rules, in declaration order, under the same
+    name: what one module of rules explores on its own. *)
+
 val with_initial : string -> Term.Set.t -> t -> t
 (** Replace the initial content of one state component. *)
 

@@ -29,6 +29,7 @@ let log_src = Logs.Src.create "fsa.core" ~doc:"analysis pipeline phases"
 module Log = (val Logs.src_log log_src)
 
 module Span = Fsa_obs.Span
+module Progress = Fsa_obs.Progress
 
 (* ------------------------------------------------------------------ *)
 (* Manual path                                                         *)
@@ -124,8 +125,9 @@ type phase_timings = {
 
 (* What --reduce actually did: the size of the reduced exploration (the
    states and transitions that underwent rule matching), the order of
-   the detected symmetry group, and — when the plan could not be applied
-   soundly — why the run fell back to unreduced exploration. *)
+   the symmetry group explored under (always the trivial one), and —
+   when the plan could not be applied soundly — why the run fell back to
+   unreduced exploration. *)
 type reduction_info = {
   ri_kind : string;  (** ["sym"], ["por"] or ["sym+por"] *)
   ri_reduced_states : int;
@@ -228,24 +230,69 @@ let quotient ?(max_states = 1_000_000) ?progress pl apa =
 
    So: no dead state in the reduced graph means no full maxima at all;
    otherwise the full maxima are the union of each module's local
-   maxima, each computed by exploring that module's rules alone — the
-   local graphs are tiny (the product divides into them). *)
+   maxima, each computed by exploring that module's rules alone
+   ({!Apa.restrict}, as composition explores its modules) — the local
+   graphs are tiny (the product divides into them). *)
 let por_maxima ?(max_states = 1_000_000) po apa lts =
   if Lts.deadlocks lts = [] then Action.Set.empty
   else
-    let rules = Apa.rules apa in
     List.fold_left
       (fun acc m ->
-        let mrules =
-          List.filter (fun r -> List.mem r.Apa.r_name m.Sym.m_rules) rules
-        in
         let local =
-          Lts.explore ~max_states
-            (Apa.make ~components:(Apa.components apa) ~rules:mrules
-               (Apa.name apa))
+          Lts.explore ~max_states (Apa.restrict ~rules:m.Sym.m_rules apa)
         in
         Action.Set.union acc (Lts.maxima local))
       Action.Set.empty (Sym.por_modules po)
+
+(* The composition modules derivation explores one by one, when there
+   are at least two.  Custom labels could give two modules one action,
+   so composition needs the default rule-name labelling. *)
+let composition_modules apa =
+  if not (default_labelled_rules apa) then []
+  else
+    match
+      Fsa_struct.Structural.composition_modules
+        (Fsa_struct.Structural.of_apa apa)
+    with
+    | [ _ ] -> []
+    | modules -> modules
+
+(* Explore each module's sub-APA and represent the APA's graph as their
+   product ({!Lts.product}).  [max_states] bounds the product, as it
+   bounds exploring the whole APA: a module beyond it fails while
+   exploring, and the product's state count is checked arithmetically
+   before the numbering walk.  [progress] counts the modules' states,
+   then the walk's product states; only the walk finishes it. *)
+let explore_composed ~max_states ?progress apa modules =
+  let explored = ref 0 in
+  let graphs =
+    List.map
+      (fun rules ->
+        let g =
+          Lts.explore ~max_states
+            ?progress:(Option.map (Progress.offset ~by:!explored) progress)
+            (Apa.restrict ~rules apa)
+        in
+        explored := !explored + Lts.nb_states g;
+        g)
+      modules
+  in
+  ignore
+    (List.fold_left
+       (fun acc g ->
+         let n = Lts.nb_states g in
+         if acc > max_states / n then
+           raise (Lts.State_space_too_large max_states);
+         acc * n)
+       1 graphs);
+  let rank = Hashtbl.create 64 in
+  List.iteri (fun i r -> Hashtbl.replace rank r.Apa.r_name i) (Apa.rules apa);
+  let lts =
+    Lts.product ?progress
+      ~rank:(fun a -> Hashtbl.find rank (Action.label a))
+      graphs
+  in
+  (lts, graphs)
 
 let tool ?(max_states = 1_000_000) ?reduce ?quotient_cache ?progress
     ~stakeholder apa =
@@ -279,15 +326,24 @@ let tool ?(max_states = 1_000_000) ?reduce ?quotient_cache ?progress
         | Some po, Some ample -> Some (pl, po, ample)
         | _ -> None)
   in
-  let lts, ph_explore_ns =
+  (* Unreduced, an APA of independent modules is explored module by
+     module and represented as their product; the dependence engine is
+     then one engine per module ({!Hom.Shared.product}). *)
+  let modules = if por = None then composition_modules apa else [] in
+  let (lts, module_graphs), ph_explore_ns =
     timed @@ fun () ->
     Span.with_ ~cat:"core" "tool.explore" (fun () ->
-        Lts.explore ~max_states
-          ?reduce:
-            (Option.map
-               (fun (_, _, rd_ample) -> { Lts.rd_canon = Fun.id; rd_ample })
-               por)
-          ?progress apa)
+        match modules with
+        | [] ->
+          ( Lts.explore ~max_states
+              ?reduce:
+                (Option.map
+                   (fun (_, _, rd_ample) ->
+                     { Lts.rd_canon = Fun.id; rd_ample })
+                   por)
+              ?progress apa,
+            [] )
+        | _ -> explore_composed ~max_states ?progress apa modules)
   in
   (* An active ample-set reduction drops interleavings of rules from
      different interference modules, with two consequences downstream:
@@ -330,12 +386,12 @@ let tool ?(max_states = 1_000_000) ?reduce ?quotient_cache ?progress
         (fun mx -> List.exists (fun mn -> not (pruned mn mx)) minima)
         maxima
     in
-    let alphabet =
-      Action.Set.union
-        (Action.Set.of_list surviving_minima)
-        (Action.Set.of_list surviving_maxima)
-    in
-    let engine =
+    (* one engine over the pair actions of [g]; the quotient cache holds
+       one entry per alphabet *)
+    let build ?progress ~minima ~maxima g =
+      let alphabet =
+        Action.Set.union (Action.Set.of_list minima) (Action.Set.of_list maxima)
+      in
       if Action.Set.is_empty alphabet then None
       else begin
         let alist = Action.Set.elements alphabet in
@@ -343,8 +399,8 @@ let tool ?(max_states = 1_000_000) ?reduce ?quotient_cache ?progress
           Option.bind quotient_cache (fun qc -> qc.qc_find ~alphabet:alist)
         in
         let e =
-          Hom.Shared.build ?dfa ~max_states ?progress ~alphabet
-            ~minima:surviving_minima ~maxima:surviving_maxima lts
+          Hom.Shared.build ?dfa ~max_states ?progress ~alphabet ~minima
+            ~maxima g
         in
         (match quotient_cache with
         | Some qc when not (Hom.Shared.cached e) ->
@@ -352,6 +408,29 @@ let tool ?(max_states = 1_000_000) ?reduce ?quotient_cache ?progress
         | _ -> ());
         Some e
       end
+    in
+    let engine =
+      match module_graphs with
+      | [] ->
+        build ?progress ~minima:surviving_minima ~maxima:surviving_maxima lts
+      | graphs -> (
+        (* default labels are rule names *)
+        let in_module rules =
+          List.filter (fun a -> List.mem (Action.label a) rules)
+        in
+        (* the builds' ticks continue past the product's count *)
+        let progress =
+          Option.map (Progress.offset ~by:(Lts.nb_states lts)) progress
+        in
+        let module_engine rules g =
+          build ?progress
+            ~minima:(in_module rules surviving_minima)
+            ~maxima:(in_module rules surviving_maxima)
+            g
+        in
+        match List.filter_map Fun.id (List.map2 module_engine modules graphs) with
+        | [] -> None
+        | parts -> Some (Hom.Shared.product ~max_states parts))
     in
     let verdict mn mx =
       if pruned mn mx then begin
@@ -409,10 +488,14 @@ let tool ?(max_states = 1_000_000) ?reduce ?quotient_cache ?progress
     |> Auth.normalise
   in
   Log.debug (fun m ->
-      m "tool path %s: %d states, %d minima x %d maxima, %d requirements"
-        (Lts.name lts) (Lts.nb_states lts) (List.length minima)
-        (List.length maxima)
+      m "tool path %s: %d states (%d modules), %d minima x %d maxima, \
+         %d requirements"
+        (Lts.name lts) (Lts.nb_states lts)
+        (max 1 (List.length module_graphs))
+        (List.length minima) (List.length maxima)
         (List.length requirements));
+  (* the tool path never applies symmetry: the group it explored under
+     is the trivial one *)
   let t_reduction =
     match reduce with
     | None -> None
@@ -421,7 +504,7 @@ let tool ?(max_states = 1_000_000) ?reduce ?quotient_cache ?progress
         { ri_kind = Sym.kind_to_string pl.Sym.pl_kind;
           ri_reduced_states = Lts.nb_states lts;
           ri_reduced_transitions = Lts.nb_transitions lts;
-          ri_group_order = Sym.group_order pl.Sym.pl_report;
+          ri_group_order = 1.;
           ri_fallback = fallback }
   in
   { t_lts = lts;
@@ -442,7 +525,7 @@ let tool ?(max_states = 1_000_000) ?reduce ?quotient_cache ?progress
               let bt = Hom.Shared.timing e in
               { sh_alphabet_size =
                   Action.Set.cardinal (Hom.Shared.alphabet e);
-                sh_dfa_states = Hom.A.Dfa.nb_states (Hom.Shared.dfa e);
+                sh_dfa_states = Hom.Shared.nb_states e;
                 sh_cached = Hom.Shared.cached e;
                 sh_early_pairs = Hom.Shared.early_count e;
                 sh_erase_ns = bt.Hom.Shared.sb_erase_ns;

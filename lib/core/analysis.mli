@@ -82,7 +82,8 @@ type reduction_info = {
           graph otherwise *)
   ri_reduced_transitions : int;
   ri_group_order : float;
-      (** order of the detected symmetry group (1 without [sym]) *)
+      (** order of the symmetry group the run explored under: always 1,
+          because derivation never explores a symmetry quotient *)
   ri_fallback : string option;
       (** why the plan could not be applied and the run explored
           unreduced, when it did *)
@@ -167,10 +168,29 @@ val tool :
     across runs (see {!quotient_cache}); a cache hit skips the
     erase/determinise/minimise and early-decision work entirely.
 
+    {b Composition.}  Unreduced, an APA whose rules split into two or
+    more composition modules
+    ({!Fsa_struct.Structural.composition_modules}) and whose rules all
+    carry their default labels is explored module by module, each
+    module's rules alone ({!Fsa_apa.Apa.restrict}).  [t_lts] is then
+    the product of the module graphs ({!Lts.product}): its statistics,
+    minima, maxima and dead-state ids are the full product's, answered
+    from the module graphs, and any other accessor materialises the
+    graph {!Lts.explore} would have built.  [t_engine] is the product
+    of one shared engine per module ({!Fsa_hom.Hom.Shared.product}),
+    and [quotient_cache] sees one entry per module alphabet.  Verdicts,
+    requirements and per-pair minimal automata equal the single-product
+    path's (DESIGN.md §17).  [max_states] still bounds the product's
+    state count, checked arithmetically from the module counts, with
+    the same [Lts.State_space_too_large]; [progress] is ticked through
+    the module explorations, the product's numbering walk and the
+    module engines' builds.  With one module, or a custom label, the
+    single product is explored as before.
+
     [reduce] applies a {!Fsa_sym.Sym.plan}'s ample-set component only:
     derivation needs concrete per-instance labels, so a symmetry
-    component is ignored here (it shrinks {!quotient} alone) and the
-    concrete graph is explored.  An ample-set component restricts the
+    component is ignored here (it shrinks {!quotient} alone, and
+    [ri_group_order] is 1) and the concrete graph is explored.  An ample-set component restricts the
     explored interleavings; pairs the net skeleton proves
     flow-independent are then settled without a test (counted in the
     [struct.pairs_pruned] metric), because the reduced graph could

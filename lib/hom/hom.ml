@@ -307,7 +307,7 @@ module Shared = struct
      (the alphabet in label order): verdicts and per-pair projections
      work on its flat transition table.  [sh_dfa] is the label-keyed
      form handed out at the API boundary (cache, reports, tracer). *)
-  type engine = {
+  type single = {
     sh_alphabet : Action.Set.t;
     sh_letters : Action.t array;
     sh_quotient : K.dfa;
@@ -315,7 +315,22 @@ module Shared = struct
     sh_cached : bool;
     sh_timing : build_timing;
     sh_early : Pair_set.t;
+    sh_minima : Action.t list;  (* the pair endpoints inside the alphabet *)
+    sh_maxima : Action.t list;
+    sh_subsets : int;  (* subsets the determinisation materialised *)
   }
+
+  (* One engine per composition module, over pairwise disjoint
+     alphabets (see [product]). *)
+  type product = {
+    pr_parts : single array;
+    pr_part_of : int Action.Map.t;  (* letter -> its part *)
+    pr_alphabet : Action.Set.t;
+    pr_cross : Pair_set.t;  (* pairs whose ends lie in two parts *)
+    pr_dfa : A.Dfa.t Lazy.t;
+  }
+
+  type engine = Single of single | Product of product
 
   let zero_timing =
     { sb_erase_ns = 0L;
@@ -424,13 +439,18 @@ module Shared = struct
     | Some d ->
       let letters = letters_of
           (A.Lset.fold Action.Set.add (A.Dfa.alphabet d) alphabet) in
-      { sh_alphabet = alphabet;
-        sh_letters = letters;
-        sh_quotient = A.Dfa.to_kernel ~letters d;
-        sh_dfa = d;
-        sh_cached = true;
-        sh_timing = zero_timing;
-        sh_early = Pair_set.empty }
+      let in_alphabet a = Action.Set.mem a alphabet in
+      Single
+        { sh_alphabet = alphabet;
+          sh_letters = letters;
+          sh_quotient = A.Dfa.to_kernel ~letters d;
+          sh_dfa = d;
+          sh_cached = true;
+          sh_timing = zero_timing;
+          sh_early = Pair_set.empty;
+          sh_minima = List.filter in_alphabet minima;
+          sh_maxima = List.filter in_alphabet maxima;
+          sh_subsets = 0 }
     | None ->
       Span.with_ ~cat:"hom" "hom.shared_build" @@ fun () ->
       let letters = letters_of alphabet in
@@ -469,34 +489,184 @@ module Shared = struct
             (Action.Set.cardinal alphabet)
             det.K.d_states (A.Dfa.nb_states d) (A.Dfa.nb_transitions d)
             (Pair_set.cardinal early));
-      { sh_alphabet = alphabet;
-        sh_letters = letters;
-        sh_quotient = q;
-        sh_dfa = d;
-        sh_cached = false;
-        sh_timing =
-          { sb_erase_ns = Int64.sub t1 t0;
-            sb_determinise_ns = Int64.sub t2 t1;
-            sb_minimise_ns = Int64.sub t3 t2;
-            sb_early_ns = Int64.sub t4 t3 };
-        sh_early = early }
+      Single
+        { sh_alphabet = alphabet;
+          sh_letters = letters;
+          sh_quotient = q;
+          sh_dfa = d;
+          sh_cached = false;
+          sh_timing =
+            { sb_erase_ns = Int64.sub t1 t0;
+              sb_determinise_ns = Int64.sub t2 t1;
+              sb_minimise_ns = Int64.sub t3 t2;
+              sb_early_ns = Int64.sub t4 t3 };
+          sh_early = early;
+          sh_minima = minima;
+          sh_maxima = maxima;
+          sh_subsets = det.K.d_states }
 
-  let alphabet e = e.sh_alphabet
-  let dfa e = e.sh_dfa
-  let cached e = e.sh_cached
-  let timing e = e.sh_timing
-  let early e = e.sh_early
-  let early_count e = Pair_set.cardinal e.sh_early
+  (* The product of DFAs over pairwise disjoint alphabets, numbered
+     breadth-first from the tuple of start states; a tuple is final iff
+     every part is.  Each part moves on its own letters only, so the
+     product accepts the shuffle of the parts' languages, and it is
+     minimal when the parts are minimal and accept prefix-closed
+     languages (two tuples differing in part [i] are told apart by a
+     word of part [i]'s letters). *)
+  let dfa_product (parts : A.Dfa.t array) =
+    let k = Array.length parts in
+    let size = Array.map A.Dfa.nb_states parts in
+    let radix = Array.make k 1 in
+    for i = 1 to k - 1 do
+      radix.(i) <- radix.(i - 1) * size.(i - 1)
+    done;
+    let ids = Hashtbl.create 64 and count = ref 0 in
+    let intern code =
+      match Hashtbl.find_opt ids code with
+      | Some id -> id
+      | None ->
+        let id = !count in
+        Hashtbl.add ids code id;
+        incr count;
+        id
+    in
+    let start =
+      Array.fold_left ( + ) 0
+        (Array.mapi (fun i d -> A.Dfa.start d * radix.(i)) parts)
+    in
+    ignore (intern start);
+    let delta = ref [] and finals = ref [] and next = ref 0 in
+    let queue = Queue.create () in
+    Queue.add start queue;
+    while not (Queue.is_empty queue) do
+      let code = Queue.pop queue in
+      let id = !next in
+      incr next;
+      let row = ref A.Lmap.empty and final = ref true in
+      Array.iteri
+        (fun i d ->
+          let local = code / radix.(i) mod size.(i) in
+          if not (A.Dfa.is_final d local) then final := false;
+          A.Lmap.iter
+            (fun l dst ->
+              let dcode = code + ((dst - local) * radix.(i)) in
+              let before = !count in
+              let did = intern dcode in
+              if did = before then Queue.add dcode queue;
+              row := A.Lmap.add l did !row)
+            (A.Dfa.delta d).(local))
+        parts;
+      delta := !row :: !delta;
+      if !final then finals := id :: !finals
+    done;
+    A.Dfa.create ~nb_states:!count ~start:0
+      ~finals:(Fsa_automata.Automata.Int_set.of_list !finals)
+      ~delta:(Array.of_list (List.rev !delta))
+
+  let product ?(max_states = max_int) engines =
+    let parts =
+      Array.of_list
+        (List.concat_map
+           (function Single s -> [ s ] | Product p -> Array.to_list p.pr_parts)
+           engines)
+    in
+    match parts with
+    | [||] -> invalid_arg "Hom.Shared.product: no engine"
+    | [| s |] -> Single s
+    | _ ->
+      (* the product image determinises into the tuples of the parts'
+         subsets: the bound holds for their product *)
+      ignore
+        (Array.fold_left
+           (fun acc s ->
+             if s.sh_cached then acc
+             else if acc > max_states / max 1 s.sh_subsets then
+               raise (Lts.State_space_too_large max_states)
+             else acc * s.sh_subsets)
+           1 parts);
+      let part_of = ref Action.Map.empty in
+      Array.iteri
+        (fun i s ->
+          Action.Set.iter
+            (fun a ->
+              if Action.Map.mem a !part_of then
+                invalid_arg "Hom.Shared.product: alphabets overlap";
+              part_of := Action.Map.add a i !part_of)
+            s.sh_alphabet)
+        parts;
+      let cross = ref Pair_set.empty in
+      Array.iteri
+        (fun i si ->
+          Array.iteri
+            (fun j sj ->
+              if i <> j then
+                List.iter
+                  (fun mn ->
+                    List.iter
+                      (fun mx -> cross := Pair_set.add (mn, mx) !cross)
+                      sj.sh_maxima)
+                  si.sh_minima)
+            parts)
+        parts;
+      Product
+        { pr_parts = parts;
+          pr_part_of = !part_of;
+          pr_alphabet =
+            Array.fold_left
+              (fun acc s -> Action.Set.union acc s.sh_alphabet)
+              Action.Set.empty parts;
+          pr_cross = !cross;
+          pr_dfa = lazy (dfa_product (Array.map (fun s -> s.sh_dfa) parts)) }
+
+  let parts = function Single s -> [| s |] | Product p -> p.pr_parts
+
+  let alphabet = function Single s -> s.sh_alphabet | Product p -> p.pr_alphabet
+
+  let dfa = function Single s -> s.sh_dfa | Product p -> Lazy.force p.pr_dfa
+
+  let nb_states e =
+    Array.fold_left (fun acc s -> acc * A.Dfa.nb_states s.sh_dfa) 1 (parts e)
+
+  let cached e = Array.for_all (fun s -> s.sh_cached) (parts e)
+
+  let timing e =
+    Array.fold_left
+      (fun acc s ->
+        let t = s.sh_timing in
+        { sb_erase_ns = Int64.add acc.sb_erase_ns t.sb_erase_ns;
+          sb_determinise_ns = Int64.add acc.sb_determinise_ns t.sb_determinise_ns;
+          sb_minimise_ns = Int64.add acc.sb_minimise_ns t.sb_minimise_ns;
+          sb_early_ns = Int64.add acc.sb_early_ns t.sb_early_ns })
+      zero_timing (parts e)
+
+  (* A pair with its ends in two parts is independent: the other part's
+     runs reach its maximum without ever firing its minimum. *)
+  let early = function
+    | Single s -> s.sh_early
+    | Product p ->
+      Array.fold_left
+        (fun acc s -> Pair_set.union acc s.sh_early)
+        p.pr_cross p.pr_parts
+
+  let early_count e = Pair_set.cardinal (early e)
 
   let check_pair e ~min_action ~max_action =
     if
       not
-        (Action.Set.mem min_action e.sh_alphabet
-        && Action.Set.mem max_action e.sh_alphabet)
+        (Action.Set.mem min_action (alphabet e)
+        && Action.Set.mem max_action (alphabet e))
     then
       invalid_arg
         (Fmt.str "Hom.Shared: pair (%a, %a) outside the shared alphabet"
            Action.pp min_action Action.pp max_action)
+
+  (* The part answering a pair, or [None] for a cross-part pair. *)
+  let part_of_pair e ~min_action ~max_action =
+    match e with
+    | Single s -> Some s
+    | Product p ->
+      let i = Action.Map.find min_action p.pr_part_of
+      and j = Action.Map.find max_action p.pr_part_of in
+      if i = j then Some p.pr_parts.(i) else None
 
   (* [dfa_has_target_before_avoid] on the quotient's transition table. *)
   let target_before_avoid (q : K.dfa) ~avoid ~target =
@@ -528,12 +698,14 @@ module Shared = struct
     Metrics.incr m_dependence_tests;
     let t0 = Span.now_ns () in
     let dep =
-      if Pair_set.mem (min_action, max_action) e.sh_early then false
-      else
-        not
-          (target_before_avoid e.sh_quotient
-             ~avoid:(A.letter e.sh_letters min_action)
-             ~target:(A.letter e.sh_letters max_action))
+      match part_of_pair e ~min_action ~max_action with
+      | None -> false
+      | Some s ->
+        (not (Pair_set.mem (min_action, max_action) s.sh_early))
+        && not
+             (target_before_avoid s.sh_quotient
+                ~avoid:(A.letter s.sh_letters min_action)
+                ~target:(A.letter s.sh_letters max_action))
     in
     let t1 = Span.now_ns () in
     ( dep,
@@ -552,13 +724,25 @@ module Shared = struct
      [minimal_automaton (preserve [min; max]) lts] by h_p = h_p . h_U
      and uniqueness of the minimal DFA.  The projection erases every
      other letter of the quotient and runs the same kernel. *)
+  let project s keep =
+    let kept = letters_of (Action.Set.of_list keep) in
+    let map = Array.map (A.letter kept) s.sh_letters in
+    let nfa = K.relabel ~nb_letters:(Array.length kept) map s.sh_quotient in
+    A.Dfa.of_kernel ~letters:kept (K.minimize (K.determinize nfa))
+
+  (* A cross-part pair's image is the shuffle of its two one-letter
+     projections, whose minimal DFA is their product. *)
   let minimal_automaton e ~min_action ~max_action =
     check_pair e ~min_action ~max_action;
     Metrics.incr m_minimal_automata;
-    let pair = letters_of (Action.Set.of_list [ min_action; max_action ]) in
-    let map = Array.map (A.letter pair) e.sh_letters in
-    let nfa = K.relabel ~nb_letters:(Array.length pair) map e.sh_quotient in
-    A.Dfa.of_kernel ~letters:pair (K.minimize (K.determinize nfa))
+    match part_of_pair e ~min_action ~max_action with
+    | Some s -> project s [ min_action; max_action ]
+    | None ->
+      let alone a =
+        let s = Array.find_opt (fun s -> Action.Set.mem a s.sh_alphabet) (parts e) in
+        project (Option.get s) [ a ]
+      in
+      dfa_product [| alone min_action; alone max_action |]
 end
 
 (* ------------------------------------------------------------------ *)

@@ -130,16 +130,43 @@ module Shared : sig
       would materialise more than [max_states] subsets (default: no
       bound). *)
 
+  val product : ?max_states:int -> engine list -> engine
+  (** The composite engine over per-module engines with pairwise
+      disjoint alphabets (the modules of {!Lts.product}): the product's
+      image is the shuffle of the modules' images, so
+      - a pair with both ends in one module is answered by that
+        module's engine, whose verdict and projected minimal automaton
+        equal the product's (every state of an image accepts, so
+        projecting the product's language onto one module's letters
+        gives that module's language);
+      - a pair with its ends in two modules is independent, and counts
+        as decided early;
+      - the quotient is the product of the module quotients (minimal,
+        because the parts are minimal and their languages prefix-closed),
+        of {!nb_states} Π Sᵢ; {!dfa} materialises it on first use.
+      [cached] holds when every module's quotient came from the store;
+      {!timing} sums the modules'.  Nested products are flattened; a
+      single engine is returned as it is.
+      @raise Lts.State_space_too_large when the product of the subsets
+      the modules' determinisations materialised exceeds [max_states]
+      (default: no bound) — the count the product's own determinisation
+      would reach.
+      @raise Invalid_argument on an empty list or overlapping
+      alphabets. *)
+
   val alphabet : engine -> Action.Set.t
   val dfa : engine -> A.Dfa.t
   (** The shared minimal DFA — the cacheable intermediate quotient. *)
+
+  val nb_states : engine -> int
+  (** States of {!dfa}, without materialising a product's. *)
 
   val cached : engine -> bool
   val timing : engine -> build_timing
 
   val early : engine -> Pair_set.t
   (** The (minimum, maximum) pairs the single pass already proved
-      independent. *)
+      independent, and a product's cross-module pairs. *)
 
   val early_count : engine -> int
   (** Number of pairs the single pass already proved independent. *)

@@ -13,13 +13,30 @@ module State = Fsa_apa.Apa.State
 
 type transition = { t_src : int; t_label : Action.t; t_dst : int }
 
-type t = {
+(* An explored (or imported) graph.  [steps] lists every transition in
+   discovery order: grouped by source, and within one source in the
+   order [Apa.step] enumerated them (rule by rule in declaration order).
+   The product walk replays that order; [succs] is sorted instead. *)
+type graph = {
   apa_name : string;
   states : State.t array;
   initial : int;  (* always 0 *)
   succs : transition list array;  (* outgoing transitions, by source *)
   preds : transition list array;  (* incoming transitions, by target *)
+  steps : transition array;
+  step_off : int array;  (* steps of source [s]: [step_off.(s)] to [step_off.(s+1) - 1] *)
 }
+
+(* The product of independent module graphs (see [product]): the
+   statistics, minima, maxima and dead states come from the modules and
+   one numbering walk; the explicit graph is built on first demand. *)
+type product = {
+  p_modules : graph array;
+  p_deadlocks : int list;
+  p_explicit : graph Lazy.t;
+}
+
+type t = Graph of graph | Product of product
 
 exception State_space_too_large of int
 
@@ -70,11 +87,6 @@ module Buf = struct
     b.len <- b.len + 1
 
   let to_array b = Array.sub b.data 0 b.len
-
-  let iter f b =
-    for i = 0 to b.len - 1 do
-      f b.data.(i)
-    done
 end
 
 (* Exploration-time reduction hooks (symmetry / partial order, see
@@ -102,13 +114,22 @@ let order_transition a b =
     let c = Action.compare a.t_label b.t_label in
     if c <> 0 then c else Stdlib.compare a.t_dst b.t_dst
 
-(* Shared final assembly: the explorer and the importer ([of_edges])
-   hand their states (in BFS order) and edges to this, so the resulting
+(* Shared final assembly: the explorer, the importer ([of_edges]) and
+   the product hand their states (in BFS order) and their transitions
+   (grouped by source, in discovery order) to this, so the resulting
    structures are constructed identically. *)
-let assemble ~apa_name ~states ~iter_edges =
+let assemble ~apa_name ~states ~steps =
   let n = Array.length states in
   let succs = Array.make n [] in
-  iter_edges (fun tr -> succs.(tr.t_src) <- tr :: succs.(tr.t_src));
+  let step_off = Array.make (n + 1) 0 in
+  Array.iter
+    (fun tr ->
+      succs.(tr.t_src) <- tr :: succs.(tr.t_src);
+      step_off.(tr.t_src + 1) <- step_off.(tr.t_src + 1) + 1)
+    steps;
+  for i = 0 to n - 1 do
+    step_off.(i + 1) <- step_off.(i + 1) + step_off.(i)
+  done;
   Array.iteri (fun i l -> succs.(i) <- List.sort order_transition l) succs;
   (* walking the sorted successor lists backwards, last source first,
      conses every predecessor list into [order_transition] order *)
@@ -118,7 +139,7 @@ let assemble ~apa_name ~states ~iter_edges =
       (fun tr -> preds.(tr.t_dst) <- tr :: preds.(tr.t_dst))
       (List.rev succs.(i))
   done;
-  { apa_name; states; initial = 0; succs; preds }
+  { apa_name; states; initial = 0; succs; preds; steps; step_off }
 
 let explore ?(max_states = 1_000_000) ?(reduce = no_reduction) ?progress apa =
   Span.with_ ~cat:"lts" "lts.explore" @@ fun () ->
@@ -185,25 +206,9 @@ let explore ?(max_states = 1_000_000) ?(reduce = no_reduction) ?progress apa =
   Log.debug (fun m ->
       m "explored %s: %d states, %d transitions" (Fsa_apa.Apa.name apa)
         (Buf.length states) (Buf.length edges));
-  assemble ~apa_name:(Fsa_apa.Apa.name apa) ~states:(Buf.to_array states)
-    ~iter_edges:(fun f -> Buf.iter f edges)
-
-let name t = t.apa_name
-let nb_states t = Array.length t.states
-let nb_transitions t = Array.fold_left (fun acc l -> acc + List.length l) 0 t.succs
-let initial t = t.initial
-let state t i = t.states.(i)
-let succ t i = t.succs.(i)
-let pred t i = t.preds.(i)
-
-let transitions t = Array.to_list t.succs |> List.concat
-
-let iter_transitions f t = Array.iter (fun l -> List.iter f l) t.succs
-
-let fold_transitions f t acc =
-  Array.fold_left
-    (fun acc l -> List.fold_left (fun acc tr -> f tr acc) acc l)
-    acc t.succs
+  Graph
+    (assemble ~apa_name:(Fsa_apa.Apa.name apa) ~states:(Buf.to_array states)
+       ~steps:(Buf.to_array edges))
 
 (* Synthetic / imported graphs: states carry no APA content.  Intended
    for tests and for ingesting externally computed reachability graphs;
@@ -217,54 +222,269 @@ let of_edges ?(name = "imported") ~nb_states edges =
         || tr.t_dst >= nb_states
       then invalid_arg "Lts.of_edges: transition endpoint out of range")
     edges;
-  assemble ~apa_name:name
-    ~states:(Array.make nb_states State.empty)
-    ~iter_edges:(fun f -> List.iter f edges)
+  let by_src a b = Int.compare a.t_src b.t_src in
+  Graph
+    (assemble ~apa_name:name
+       ~states:(Array.make nb_states State.empty)
+       ~steps:(Array.of_list (List.stable_sort by_src edges)))
+
+(* ------------------------------------------------------------------ *)
+(* Products of independent modules                                     *)
+(* ------------------------------------------------------------------ *)
+
+let alphabet_g g =
+  Array.fold_left
+    (fun acc tr -> Action.Set.add tr.t_label acc)
+    Action.Set.empty g.steps
+
+let deadlocks_g g =
+  let acc = ref [] in
+  for i = Array.length g.states - 1 downto 0 do
+    if g.succs.(i) = [] then acc := i :: !acc
+  done;
+  !acc
+
+let minima_g g =
+  List.fold_left
+    (fun acc tr -> Action.Set.add tr.t_label acc)
+    Action.Set.empty g.succs.(g.initial)
+
+let maxima_g g =
+  List.fold_left
+    (fun acc dead ->
+      List.fold_left
+        (fun acc tr -> Action.Set.add tr.t_label acc)
+        acc g.preds.(dead))
+    Action.Set.empty (deadlocks_g g)
+
+(* The numbering walk.  A product state is a tuple of module states,
+   encoded in mixed radix (module [i] is digit [i], of base the module's
+   state count).  The walk expands product states in id order and
+   numbers each new successor on first sight, exactly as [explore] does
+   on the whole APA: there, the successors of a state come from
+   [Apa.step], rule by rule in declaration order; here, each module
+   contributes the steps of its local state in its own discovery order,
+   and the module lists are merged by the global rank of the rule that
+   fired each step.  So the ids are [explore]'s BFS ids.  [on_edge src
+   i e dst] sees every product transition: step [e] of module [i], from
+   product state [src] to [dst].  Returns the product states' codes in
+   id order and the dead states' ids, ascending. *)
+let walk ?progress ~on_edge (mods : graph array) (rank : int array array) =
+  let k = Array.length mods in
+  let size = Array.map (fun g -> Array.length g.states) mods in
+  let radix = Array.make k 1 in
+  for i = 1 to k - 1 do
+    radix.(i) <- radix.(i - 1) * size.(i - 1)
+  done;
+  let n = radix.(k - 1) * size.(k - 1) in
+  let ids = Array.make n (-1) and codes = Array.make n 0 in
+  ids.(0) <- 0;
+  let count = ref 1 and dead = ref [] in
+  let loc = Array.make k 0 and ptr = Array.make k 0 in
+  let id = ref 0 in
+  while !id < !count do
+    let src = !id in
+    let code = codes.(src) in
+    for i = 0 to k - 1 do
+      let l = code / radix.(i) mod size.(i) in
+      loc.(i) <- l;
+      ptr.(i) <- mods.(i).step_off.(l)
+    done;
+    let fired = ref false and more = ref true in
+    while !more do
+      (* the module whose next step has the lowest rule rank *)
+      let best = ref (-1) and best_rank = ref 0 in
+      for i = 0 to k - 1 do
+        let e = ptr.(i) in
+        if
+          e < mods.(i).step_off.(loc.(i) + 1)
+          && (!best < 0 || rank.(i).(e) < !best_rank)
+        then begin
+          best := i;
+          best_rank := rank.(i).(e)
+        end
+      done;
+      if !best < 0 then more := false
+      else begin
+        let i = !best in
+        let e = ptr.(i) in
+        ptr.(i) <- e + 1;
+        fired := true;
+        let dcode = code + ((mods.(i).steps.(e).t_dst - loc.(i)) * radix.(i)) in
+        let dst =
+          match ids.(dcode) with
+          | -1 ->
+            let d = !count in
+            ids.(dcode) <- d;
+            codes.(d) <- dcode;
+            incr count;
+            d
+          | d -> d
+        in
+        on_edge src i e dst
+      end
+    done;
+    if not !fired then dead := src :: !dead;
+    incr id;
+    match progress with
+    | Some p -> Progress.tick p ~count:!count ~frontier:(!count - !id)
+    | None -> ()
+  done;
+  if !count <> n then
+    invalid_arg "Lts.product: a module state is unreachable from its initial state";
+  (match progress with Some p -> Progress.finish p ~count:n | None -> ());
+  (codes, List.rev !dead)
+
+(* The APA state of a product state: each module only ever changes the
+   components it owns, so a component differing from the initial state
+   in some module's local state takes that module's contents. *)
+let product_state (mods : graph array) code =
+  let init = mods.(0).states.(0) in
+  let st = ref init and code = ref code in
+  Array.iter
+    (fun g ->
+      let n = Array.length g.states in
+      let local = g.states.(!code mod n) in
+      code := !code / n;
+      List.iter
+        (fun c ->
+          let v = State.get c local in
+          if not (Term.Set.equal v (State.get c init)) then
+            st := State.set c v !st)
+        (State.components local))
+    mods;
+  !st
+
+let explicit_product mods rank =
+  let edges = Buf.create () in
+  let codes, _ =
+    walk mods rank ~on_edge:(fun src i e dst ->
+        Buf.push edges
+          { t_src = src; t_label = mods.(i).steps.(e).t_label; t_dst = dst })
+  in
+  assemble ~apa_name:mods.(0).apa_name
+    ~states:(Array.map (product_state mods) codes)
+    ~steps:(Buf.to_array edges)
+
+let product ?progress ~rank ts =
+  let mods =
+    Array.of_list
+      (List.concat_map
+         (function Graph g -> [ g ] | Product p -> Array.to_list p.p_modules)
+         ts)
+  in
+  match mods with
+  | [||] -> invalid_arg "Lts.product: no module"
+  | [| g |] -> Graph g
+  | _ ->
+    ignore
+      (Array.fold_left
+         (fun acc g ->
+           let n = Array.length g.states in
+           if acc > max_int / n then
+             invalid_arg "Lts.product: state count overflows";
+           acc * n)
+         1 mods);
+    let rank =
+      Array.map (fun g -> Array.map (fun tr -> rank tr.t_label) g.steps) mods
+    in
+    let _, dead =
+      Span.with_ ~cat:"lts" "lts.product" (fun () ->
+          walk ?progress ~on_edge:(fun _ _ _ _ -> ()) mods rank)
+    in
+    Product
+      { p_modules = mods;
+        p_deadlocks = dead;
+        p_explicit = lazy (explicit_product mods rank) }
+
+let explicit = function Graph g -> g | Product p -> Lazy.force p.p_explicit
+
+let name = function
+  | Graph g -> g.apa_name
+  | Product p -> p.p_modules.(0).apa_name
+
+let nb_states = function
+  | Graph g -> Array.length g.states
+  | Product p ->
+    Array.fold_left (fun acc g -> acc * Array.length g.states) 1 p.p_modules
+
+(* Every product state offers module [i]'s steps of its local state:
+   T_i transitions per combination of the other modules' states. *)
+let nb_transitions = function
+  | Graph g -> Array.length g.steps
+  | Product p as t ->
+    let n = nb_states t in
+    Array.fold_left
+      (fun acc g -> acc + (Array.length g.steps * (n / Array.length g.states)))
+      0 p.p_modules
+
+let initial = function Graph g -> g.initial | Product _ -> 0
+let state t i = (explicit t).states.(i)
+let succ t i = (explicit t).succs.(i)
+let pred t i = (explicit t).preds.(i)
+
+let transitions t = Array.to_list (explicit t).succs |> List.concat
+
+let iter_transitions f t =
+  Array.iter (fun l -> List.iter f l) (explicit t).succs
+
+let fold_transitions f t acc =
+  Array.fold_left
+    (fun acc l -> List.fold_left (fun acc tr -> f tr acc) acc l)
+    acc (explicit t).succs
 
 let state_name i = Printf.sprintf "M-%d" (i + 1)
 
 let fold_states f t acc =
   let acc = ref acc in
-  Array.iteri (fun i _ -> acc := f i !acc) t.states;
+  for i = 0 to nb_states t - 1 do
+    acc := f i !acc
+  done;
   !acc
 
-let alphabet t =
-  fold_transitions
-    (fun tr acc -> Action.Set.add tr.t_label acc)
-    t Action.Set.empty
+let union_over f p =
+  Array.fold_left
+    (fun acc g -> Action.Set.union acc (f g))
+    Action.Set.empty p.p_modules
+
+let alphabet = function
+  | Graph g -> alphabet_g g
+  | Product p -> union_over alphabet_g p
 
 (* Dead states: no outgoing transition ("+++ dead +++" in the tool). *)
-let deadlocks t =
-  fold_states (fun i acc -> if t.succs.(i) = [] then i :: acc else acc) t []
-  |> List.rev
+let deadlocks = function
+  | Graph g -> deadlocks_g g
+  | Product p -> p.p_deadlocks
 
 (* Minima of the partial order of functionally dependent actions: every
    action leaving the initial state on any trace is a minimum, because it
    does not depend on any other action having occurred before
-   (Sect. 5.4). *)
-let minima t =
-  List.fold_left
-    (fun acc tr -> Action.Set.add tr.t_label acc)
-    Action.Set.empty t.succs.(t.initial)
+   (Sect. 5.4).  The product's initial state offers every module's. *)
+let minima = function
+  | Graph g -> minima_g g
+  | Product p -> union_over minima_g p
 
 (* Maxima: the actions leading into a dead state from any trace — they do
-   not trigger any further action after they have been performed. *)
-let maxima t =
-  List.fold_left
-    (fun acc dead ->
-      List.fold_left
-        (fun acc tr -> Action.Set.add tr.t_label acc)
-        acc t.preds.(dead))
-    Action.Set.empty (deadlocks t)
+   not trigger any further action after they have been performed.  A
+   product state is dead iff every module's local state is, so a module's
+   action enters a dead product state iff it enters a dead local state
+   and every other module can die. *)
+let maxima = function
+  | Graph g -> maxima_g g
+  | Product p ->
+    if Array.for_all (fun g -> deadlocks_g g <> []) p.p_modules then
+      union_over maxima_g p
+    else Action.Set.empty
 
 (* Shortest trace (sequence of labels) from the initial state to state [i]. *)
 let trace_to t i =
+  let g = explicit t in
   let n = nb_states t in
   let prev = Array.make n None in
   let visited = Array.make n false in
   let queue = Queue.create () in
-  visited.(t.initial) <- true;
-  Queue.add t.initial queue;
+  visited.(g.initial) <- true;
+  Queue.add g.initial queue;
   (try
      while not (Queue.is_empty queue) do
        let s = Queue.pop queue in
@@ -276,13 +496,13 @@ let trace_to t i =
              prev.(tr.t_dst) <- Some tr;
              Queue.add tr.t_dst queue
            end)
-         t.succs.(s)
+         g.succs.(s)
      done
    with Exit -> ());
   if not visited.(i) then None
   else begin
     let rec build acc s =
-      if s = t.initial then acc
+      if s = g.initial then acc
       else
         match prev.(s) with
         | None -> acc
@@ -294,26 +514,28 @@ let trace_to t i =
 (* All words of the (prefix-closed) action language up to length [n] —
    exponential, for tests and small examples only. *)
 let words ~max_len t =
+  let g = explicit t in
   let rec go acc word len s =
     let acc = List.rev word :: acc in
     if len = max_len then acc
     else
       List.fold_left
         (fun acc tr -> go acc (tr.t_label :: word) (len + 1) tr.t_dst)
-        acc t.succs.(s)
+        acc g.succs.(s)
   in
-  List.sort_uniq (List.compare Action.compare) (go [] [] 0 t.initial)
+  List.sort_uniq (List.compare Action.compare) (go [] [] 0 g.initial)
 
 (* Does some occurrence of a [target]-labelled transition happen on a path
    from the initial state that contains no prior [before]-labelled
    transition?  Used for the direct (non-abstracted) functional dependence
    test: [target] depends on [before] iff no such path exists. *)
 let reachable_without t ~avoid ~target =
+  let g = explicit t in
   let n = nb_states t in
   let visited = Array.make n false in
   let queue = Queue.create () in
-  visited.(t.initial) <- true;
-  Queue.add t.initial queue;
+  visited.(g.initial) <- true;
+  Queue.add g.initial queue;
   let found = ref false in
   while not (Queue.is_empty queue || !found) do
     let s = Queue.pop queue in
@@ -324,7 +546,7 @@ let reachable_without t ~avoid ~target =
           visited.(tr.t_dst) <- true;
           Queue.add tr.t_dst queue
         end)
-      t.succs.(s)
+      g.succs.(s)
   done;
   !found
 
@@ -342,6 +564,7 @@ let depends_on t ~max_action ~min_action =
    Iterative with an explicit stack: the natural recursion is one frame
    per path edge and overflows the OCaml stack on long-chain graphs. *)
 let count_complete_runs t =
+  let g = explicit t in
   let n = nb_states t in
   let colour = Array.make n 0 in (* 0 unvisited, 1 on stack, 2 done *)
   let memo = Array.make n (-1) in
@@ -352,16 +575,16 @@ let count_complete_runs t =
   in
   let enter s =
     colour.(s) <- 1;
-    Stack.push (s, ref t.succs.(s), ref 0) stack
+    Stack.push (s, ref g.succs.(s), ref 0) stack
   in
   try
-    enter t.initial;
+    enter g.initial;
     while not (Stack.is_empty stack) do
       let s, rest, acc = Stack.top stack in
       match !rest with
       | [] ->
         ignore (Stack.pop stack);
-        let total = if t.succs.(s) = [] then 1 else !acc in
+        let total = if g.succs.(s) = [] then 1 else !acc in
         colour.(s) <- 2;
         memo.(s) <- total;
         (match Stack.top_opt stack with
@@ -374,7 +597,7 @@ let count_complete_runs t =
         else if colour.(d) = 1 then raise Cyclic
         else enter d
     done;
-    Some memo.(t.initial)
+    Some memo.(g.initial)
   with Cyclic -> None
 
 (* Classify dead states into complete runs and stuck (incomplete) ones by
@@ -384,8 +607,9 @@ let count_complete_runs t =
 type deadlock_report = { dr_complete : int list; dr_stuck : int list }
 
 let classify_deadlocks t ~complete =
+  let g = explicit t in
   let complete_l, stuck =
-    List.partition (fun s -> complete t.states.(s)) (deadlocks t)
+    List.partition (fun s -> complete g.states.(s)) (deadlocks_g g)
   in
   { dr_complete = complete_l; dr_stuck = stuck }
 
@@ -407,17 +631,18 @@ let pp_stats ppf s =
     s.nb_states s.nb_transitions s.nb_deadlocks s.nb_labels
 
 let dot ?(name = "reachability") t =
+  let g = explicit t in
   let d = Fsa_graph.Dot.create ~graph_attrs:[ ("rankdir", "TB") ] name in
-  let dead = deadlocks t in
+  let dead = deadlocks_g g in
   Array.iteri
     (fun i _ ->
       let attrs =
-        if i = t.initial then [ ("shape", "box"); ("style", "bold") ]
+        if i = g.initial then [ ("shape", "box"); ("style", "bold") ]
         else if List.mem i dead then [ ("shape", "doublecircle") ]
         else []
       in
       Fsa_graph.Dot.node ~attrs d (state_name i))
-    t.states;
+    g.states;
   iter_transitions
     (fun tr ->
       Fsa_graph.Dot.edge
@@ -430,13 +655,14 @@ let dot ?(name = "reachability") t =
    state reached from M-1 by that action; maxima with the state from which
    the dead state is entered. *)
 let pp_min_max ppf t =
+  let g = explicit t in
   let minima_entries =
-    List.map (fun tr -> (tr.t_label, tr.t_dst)) t.succs.(t.initial)
+    List.map (fun tr -> (tr.t_label, tr.t_dst)) g.succs.(g.initial)
   in
   let maxima_entries =
     List.concat_map
-      (fun dead -> List.map (fun tr -> (tr.t_label, tr.t_src)) t.preds.(dead))
-      (deadlocks t)
+      (fun dead -> List.map (fun tr -> (tr.t_label, tr.t_src)) g.preds.(dead))
+      (deadlocks_g g)
   in
   let pp_entry ppf (a, s) =
     Fmt.pf ppf "%a %s" Action.pp a (state_name s)

@@ -46,6 +46,37 @@ val explore :
     (quotient) graph.
     @raise State_space_too_large beyond [max_states] (default 1e6). *)
 
+val product :
+  ?progress:Fsa_obs.Progress.t -> rank:(Action.t -> int) -> t list -> t
+(** The product of independent module graphs: the graph the whole APA
+    would explore when its rules split into modules that can neither
+    enable, disable nor feed each other, and no two of which write one
+    state component (see DESIGN.md, "Compositional derivation").  Each
+    module is the graph of the APA restricted to its module's rules, so
+    every module starts in the APA's initial state.
+
+    The product is represented, not built:
+    - {!name}, {!nb_states} (Π Sᵢ), {!nb_transitions}
+      (Σ Tᵢ·Π_{j≠i} Sⱼ), {!stats} (dead states Π Dᵢ, labels the union
+      of the module alphabets), {!minima} (the union of the module
+      minima), {!maxima} (the union of the module maxima when every
+      module has a dead state, none otherwise) and {!alphabet} come from
+      the module graphs;
+    - {!deadlocks} come from one integer walk over the module graphs,
+      run here, which numbers product states as {!explore} numbers the
+      whole APA's: the successors of a product state are the modules'
+      steps merged by [rank], the global declaration index of the rule
+      whose firing carries the label;
+    - every other accessor materialises the explicit product, through
+      the same walk, on first use: the same states, ids and transitions
+      as {!explore} of the whole APA.
+
+    Nested products are flattened; a single module is returned as it
+    is.  [progress] is ticked once per product state of the walk and
+    finished at its end.
+    @raise Invalid_argument on an empty list, a state count beyond
+    [max_int], or a module state unreachable from its initial state. *)
+
 val name : t -> string
 val nb_states : t -> int
 val nb_transitions : t -> int

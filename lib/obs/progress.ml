@@ -75,6 +75,12 @@ let finish p ~count =
   if p.fired then
     fire p ~count ~frontier:0 ~now:(Span.now_ns ()) ~final:true
 
+(* Every tick of the view reaches [p] (which throttles), shifted; the
+   view's final report is dropped, so the phase cannot finish [p]. *)
+let offset p ~by =
+  create ~every_n:1 ~every_ns:0L (fun u ->
+      if not u.u_final then tick p ~count:(by + u.u_count) ~frontier:u.u_frontier)
+
 (* The live line describes exploration: once it has printed its
    completion report, later phases ticking the same reporter (the shared
    abstraction's deadline ticks) print nothing. *)

@@ -27,6 +27,12 @@ val finish : t -> count:int -> unit
 (** Emit a final ([u_final = true]) report — only if at least one
     intermediate report was emitted, so fast runs stay silent. *)
 
+val offset : t -> by:int -> t
+(** A view of a reporter for one phase of a longer run: every tick of
+    the view reaches the reporter with [by] added to its count, and the
+    view's {!finish} does nothing, so the phase cannot end the
+    reporter's line. *)
+
 val stderr_reporter :
   ?every_n:int -> ?every_ns:int64 -> label:string -> unit -> t
 (** A ready-made reporter printing a live single-line status to stderr.

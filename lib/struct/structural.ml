@@ -642,6 +642,50 @@ let interferes r1 r2 =
         (access r2))
     (access r1)
 
+(* Connected components of [related] over the net's rules, by union-find:
+   each component is the ascending list of its rules' indices in
+   [n_rules], components in the order of their first rule. *)
+let connected related net =
+  let rules = Array.of_list net.n_rules in
+  let n = Array.length rules in
+  let parent = Array.init n Fun.id in
+  let rec find i =
+    if parent.(i) = i then i
+    else begin
+      let r = find parent.(i) in
+      parent.(i) <- r;
+      r
+    end
+  in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if related rules.(i) rules.(j) then begin
+        let ri = find i and rj = find j in
+        if ri <> rj then parent.(ri) <- rj
+      end
+    done
+  done;
+  let groups = Hashtbl.create 8 in
+  for i = n - 1 downto 0 do
+    let r = find i in
+    Hashtbl.replace groups r
+      (i :: Option.value ~default:[] (Hashtbl.find_opt groups r))
+  done;
+  Hashtbl.fold (fun _ idxs acc -> idxs :: acc) groups []
+  |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
+
+(* Composition modules: interference widened by shared puts.  Two puts
+   commute, but APA states are sets, so two modules putting into one
+   component could put the same term and merge states that the product
+   of their graphs keeps apart. *)
+let composition_modules net =
+  let puts_shared r1 r2 =
+    List.exists (fun (c, _) -> List.mem_assoc c r2.rs_puts) r1.rs_puts
+  in
+  let rules = Array.of_list net.n_rules in
+  connected (fun r1 r2 -> interferes r1 r2 || puts_shared r1 r2) net
+  |> List.map (List.map (fun i -> rules.(i).rs_name))
+
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
 (* ------------------------------------------------------------------ *)

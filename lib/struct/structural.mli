@@ -173,6 +173,22 @@ val interferes : rule_sig -> rule_sig -> bool
     {!Fsa_sym} builds its ample-set modules from exactly these
     components. *)
 
+val connected : (rule_sig -> rule_sig -> bool) -> net -> int list list
+(** The connected components of a symmetric relation over the net's
+    rules: each the ascending indices of its rules in [n_rules], listed
+    in the order of their first rule. *)
+
+val composition_modules : net -> string list list
+(** The modules the tool path explores one by one: the connected
+    components of {!interferes}, widened so that two rules putting into
+    one component join one module (APA states are sets, so two modules
+    putting the same term into one component could merge states the
+    product of their graphs keeps apart).  Rules of different modules
+    touch disjoint written components, so the APA's graph is the
+    product of the modules' graphs.  Each module lists its rule names
+    in declaration order; modules are in the order of their first
+    rule. *)
+
 val pairs_pruned : Fsa_obs.Metrics.counter
 (** The process-wide [struct.pairs_pruned] counter, incremented by
     {!Fsa_core.Analysis} for every (min, max) pair skipped under

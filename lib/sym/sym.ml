@@ -1146,34 +1146,13 @@ type por = {
 
 let por_plan apa net =
   let rules = Array.of_list net.Structural.n_rules in
-  let n = Array.length rules in
-  let parent = Array.init n (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else begin
-      let r = find parent.(i) in
-      parent.(i) <- r;
-      r
-    end
-  in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then parent.(ri) <- rj
-  in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Structural.interferes rules.(i) rules.(j) then union i j
-    done
-  done;
-  let groups = Hashtbl.create 8 in
-  for i = 0 to n - 1 do
-    let r = find i in
-    Hashtbl.replace groups r (i :: Option.value ~default:[] (Hashtbl.find_opt groups r))
-  done;
   let module_rule_names idxs =
     List.map (fun i -> rules.(i).Structural.rs_name) idxs
     |> List.sort String.compare
   in
   let modules =
-    Hashtbl.fold (fun _ idxs acc -> (module_rule_names idxs, idxs) :: acc) groups []
+    Structural.connected Structural.interferes net
+    |> List.map (fun idxs -> (module_rule_names idxs, List.rev idxs))
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   (* C3 certification: a module may serve as an ample set only when it

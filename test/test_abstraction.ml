@@ -394,30 +394,35 @@ let test_determinisation_bomb () =
 (* Quotient-cache hooks (analysis level)                               *)
 (* ------------------------------------------------------------------ *)
 
+(* four_vehicles is two composition modules (one per radio cluster), so
+   the cache sees one quotient per module alphabet. *)
 let test_quotient_cache_hooks () =
   let apa = V.four_vehicles () in
   let stakeholder = V.stakeholder in
-  let stored = ref None in
+  let stored = ref [] in
   let finds = ref 0 and stores = ref 0 in
   let qc =
     { Analysis.qc_find =
-        (fun ~alphabet:_ ->
+        (fun ~alphabet ->
           incr finds;
-          !stored);
+          List.assoc_opt alphabet !stored);
       qc_store =
-        (fun ~alphabet:_ dfa ->
+        (fun ~alphabet dfa ->
           incr stores;
-          stored := Some dfa) }
+          stored := (alphabet, dfa) :: !stored) }
   in
   let r1 = Analysis.tool ~quotient_cache:qc ~stakeholder apa in
-  Alcotest.(check int) "miss consults the cache" 1 !finds;
-  Alcotest.(check int) "fresh quotient is stored" 1 !stores;
+  let modules = List.length !stored in
+  Alcotest.(check int) "one quotient per module alphabet" 2 modules;
+  Alcotest.(check int) "miss consults the cache once per module" modules
+    !finds;
+  Alcotest.(check int) "fresh quotients are stored" modules !stores;
   (match r1.Analysis.t_timings.Analysis.ph_shared with
   | Some s -> Alcotest.(check bool) "first run is uncached" false s.Analysis.sh_cached
   | None -> Alcotest.fail "expected a shared timing section");
   let r2 = Analysis.tool ~quotient_cache:qc ~stakeholder apa in
-  Alcotest.(check int) "hit consults the cache" 2 !finds;
-  Alcotest.(check int) "hit is not re-stored" 1 !stores;
+  Alcotest.(check int) "hit consults the cache" (2 * modules) !finds;
+  Alcotest.(check int) "hit is not re-stored" modules !stores;
   (match r2.Analysis.t_timings.Analysis.ph_shared with
   | Some s -> Alcotest.(check bool) "second run is cached" true s.Analysis.sh_cached
   | None -> Alcotest.fail "expected a shared timing section");

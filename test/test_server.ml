@@ -265,6 +265,22 @@ let test_por_summary_maxima () =
   Alcotest.(check bool) "requirements as unreduced" true
     (full_reqs = red_reqs)
 
+(* Derivation never explores a symmetry quotient, so the reduction it
+   reports ran under the trivial group, although the fleet's pairs are
+   interchangeable (fsa sym reports a group of order 3! = 6). *)
+let test_por_group_order () =
+  let cfg = Server.config () in
+  let spec = Parser.parse_string (fleet_source 3) in
+  let order reduce =
+    let o = Exec.run cfg ~op:Exec.Requirements ~reduce ~file:"f.fsa" spec in
+    Option.bind (Json.member "reduction" o.Exec.oc_result)
+      (Json.member "group_order")
+  in
+  Alcotest.(check (option string)) "por" (Some "1")
+    (Option.map Json.to_string (order Sym.Por));
+  Alcotest.(check (option string)) "sym+por runs as por" (Some "1")
+    (Option.map Json.to_string (order Sym.Sym_por))
+
 (* The effective reduction keys the store: derivation runs [sym] as
    unreduced and [sym+por] as [por], and verify never reduces, so those
    requests replay one shared entry. *)
@@ -675,6 +691,8 @@ let suite =
       test_exec_caches_verify_failures;
     Alcotest.test_case "por summary keeps every maximum" `Quick
       test_por_summary_maxima;
+    Alcotest.test_case "derivation reports the trivial group" `Quick
+      test_por_group_order;
     Alcotest.test_case "reduce keys the effective kind" `Quick
       test_reduce_cache_keys;
     Alcotest.test_case "exec usage errors" `Quick test_exec_usage_errors;
